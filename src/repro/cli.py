@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes; > 1 boots a multi-process "
                        "fleet over a shared mmap'd CSR snapshot "
-                       "(requires --compact)")
+                       "(requires --backend compact)")
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--materialize", type=int, default=0, metavar="K",

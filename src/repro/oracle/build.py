@@ -11,7 +11,10 @@ landmark, with a kernel per storage backend:
   :class:`~repro.storage.disk.DiskGraph` every adjacency read is
   charged through the buffer; over a sharded store the same traversal
   decomposes into per-shard frontiers stitched at boundary vertices,
-  each read charged to the owning shard.
+  each read charged to the owning shard; over an in-memory
+  :class:`~repro.graph.graph.Graph` it is free (this is how
+  :class:`~repro.paths.landmarks.LandmarkIndex` labels a graph for
+  ``repro path --search alt``).
 * :func:`csr_landmark_distances` -- Dijkstra whose relaxation step is
   vectorized over the CSR flat arrays (NumPy slice arithmetic when
   available, plain slicing otherwise); no pages, no charging.

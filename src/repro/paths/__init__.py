@@ -13,7 +13,9 @@ point-to-point machinery the paper surveys as related work:
 * :class:`~repro.paths.landmarks.LandmarkIndex` -- the ALT
   (A*, Landmarks, Triangle inequality) preprocessing step, the
   graph-only analogue of the paper's remark that Euclidean bounds may
-  be unavailable or invalid in general networks.
+  be unavailable or invalid in general networks.  It is the
+  :class:`~repro.oracle.oracle.DistanceOracle` built over an in-memory
+  adjacency, not a second ALT implementation.
 
 All functions work both on the in-memory :class:`~repro.graph.graph.Graph`
 and on the charged :class:`~repro.core.network.NetworkView`, because

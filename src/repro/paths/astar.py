@@ -9,9 +9,11 @@ provide a bound".  This module makes that observation executable:
 * :func:`euclidean_heuristic` is valid exactly when edge weights are
   at least the Euclidean length of the edge (e.g. the SF-style spatial
   generator, where weights *are* Euclidean lengths);
-* :class:`~repro.paths.landmarks.LandmarkIndex` provides bounds that
-  are always valid because they are derived from the network metric
-  itself (triangle inequality over precomputed landmark distances);
+* :class:`~repro.paths.landmarks.LandmarkIndex` (a
+  :class:`~repro.oracle.oracle.DistanceOracle` over the graph) provides
+  bounds that are always valid because they are derived from the
+  network metric itself (triangle inequality over precomputed landmark
+  distances);
 * :func:`zero_heuristic` degrades A* to plain Dijkstra, the safe
   default the paper adopts.
 

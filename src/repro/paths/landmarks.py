@@ -13,27 +13,39 @@ works on any graph the paper considers.  Preprocessing costs one full
 Dijkstra per landmark and ``O(|landmarks| * |V|)`` storage -- the same
 partial-materialization trade-off as the paper's Section 4.1 (K-NN
 lists) applied to path search instead of RkNN search.
+
+There is one ALT implementation, :class:`~repro.oracle.oracle.DistanceOracle`
+with :func:`~repro.oracle.build.select_landmarks`; :class:`LandmarkIndex`
+is that oracle built over an in-memory adjacency, plus the A*
+heuristic adapter ``repro path --search alt`` uses.
 """
 
 from __future__ import annotations
 
-import random
+from collections.abc import Mapping, Sequence
 
-from repro.errors import QueryError
+from repro.oracle.build import select_landmarks, store_landmark_distances
+from repro.oracle.oracle import DistanceOracle
 from repro.paths.astar import Heuristic
-from repro.paths.dijkstra import Adjacency, single_source_distances
+from repro.paths.dijkstra import Adjacency
 
 
-class LandmarkIndex:
-    """Precomputed landmark distances providing triangle-inequality bounds."""
+class LandmarkIndex(DistanceOracle):
+    """A :class:`~repro.oracle.oracle.DistanceOracle` guiding A* searches.
 
-    def __init__(self, landmarks: list[int], tables: list[dict[int, float]]):
-        if len(landmarks) != len(tables):
-            raise QueryError("one distance table per landmark is required")
-        if not landmarks:
-            raise QueryError("at least one landmark is required")
-        self.landmarks = list(landmarks)
-        self._tables = tables
+    ``tables`` may be dense (``tables[i][v]``, ``inf`` when unreachable)
+    or sparse ``{node: distance}`` maps such as
+    :func:`~repro.paths.dijkstra.single_source_distances` returns, in
+    which an absent node is unreachable from that landmark.
+    """
+
+    def __init__(
+        self,
+        landmarks: Sequence[int],
+        tables: Sequence[Sequence[float] | Mapping[int, float]],
+    ):
+        size = max((_table_size(table) for table in tables), default=0)
+        super().__init__(landmarks, [_dense(table, size) for table in tables])
 
     @classmethod
     def build(
@@ -44,79 +56,43 @@ class LandmarkIndex:
         seed: int = 0,
         strategy: str = "farthest",
     ) -> "LandmarkIndex":
-        """Select ``count`` landmarks and precompute their distance tables.
+        """Select ``count`` landmarks and label every node of ``graph``.
 
         ``strategy="farthest"`` grows the set greedily (each new
         landmark is the node farthest from the current set), which
         spreads landmarks to the periphery where their bounds are
         tight; ``"random"`` is the cheap baseline.
         """
-        if count < 1:
-            raise QueryError(f"need at least one landmark, got {count}")
-        if count > num_nodes:
-            raise QueryError(f"cannot pick {count} landmarks from {num_nodes} nodes")
-        rng = random.Random(seed)
-        first = rng.randrange(num_nodes)
-        landmarks = [first]
-        tables = [single_source_distances(graph, first)]
-        while len(landmarks) < count:
-            if strategy == "random":
-                candidates = [n for n in range(num_nodes) if n not in landmarks]
-                nxt = rng.choice(candidates)
-            elif strategy == "farthest":
-                nxt = _farthest_node(tables, num_nodes, landmarks)
-            else:
-                raise QueryError(f"unknown landmark strategy {strategy!r}")
-            landmarks.append(nxt)
-            tables.append(single_source_distances(graph, nxt))
+        landmarks, tables = select_landmarks(
+            lambda source: store_landmark_distances(graph, num_nodes, source),
+            num_nodes, count, seed=seed, strategy=strategy,
+        )
         return cls(landmarks, tables)
 
     def lower_bound(self, u: int, v: int) -> float:
         """``max_L |d(L, u) - d(L, v)|``: an admissible bound on d(u, v).
 
-        Nodes missing from a landmark's table (unreachable from it)
-        contribute nothing: no finite bound can be derived through a
-        disconnected landmark.
+        A node beyond every sparse table was reached by no landmark, so
+        no bound can be derived for it.
         """
-        best = 0.0
-        for table in self._tables:
-            du = table.get(u)
-            dv = table.get(v)
-            if du is None or dv is None:
-                continue
-            gap = abs(du - dv)
-            if gap > best:
-                best = gap
-        return best
+        if u >= self.num_nodes or v >= self.num_nodes:
+            return 0.0
+        return super().lower_bound(u, v)
 
     def heuristic(self, target: int) -> Heuristic:
         """A* heuristic callable bounding distances to ``target``."""
         return lambda node: self.lower_bound(node, target)
 
-    @property
-    def storage_entries(self) -> int:
-        """Materialized (landmark, node) distance pairs."""
-        return sum(len(table) for table in self._tables)
+
+def _table_size(table: Sequence[float] | Mapping[int, float]) -> int:
+    """Node-id range a dense or sparse distance table covers."""
+    if isinstance(table, Mapping):
+        return 1 + max(table, default=-1)
+    return len(table)
 
 
-def _farthest_node(
-    tables: list[dict[int, float]], num_nodes: int, chosen: list[int]
-) -> int:
-    """The node maximizing the distance to its nearest chosen landmark."""
-    chosen_set = set(chosen)
-    best_node = -1
-    best_dist = -1.0
-    for node in range(num_nodes):
-        if node in chosen_set:
-            continue
-        nearest = min(
-            (table[node] for table in tables if node in table), default=None
-        )
-        if nearest is None:
-            continue  # disconnected from every landmark: not a useful pick
-        if nearest > best_dist:
-            best_dist = nearest
-            best_node = node
-    if best_node < 0:
-        raise QueryError("no reachable candidate nodes left for landmarks")
-    return best_node
+def _dense(table: Sequence[float] | Mapping[int, float], size: int) -> Sequence[float]:
+    """``table`` as a dense list of ``size`` distances (``inf`` = unreachable)."""
+    if isinstance(table, Mapping):
+        return [table.get(node, float("inf")) for node in range(size)]
+    return table

@@ -69,7 +69,8 @@ def test_cli_serves_and_stops_cleanly(graph_file, tmp_path):
 
 def test_cli_serve_backend_flags(graph_file, tmp_path):
     proc, host, port = _spawn_server(graph_file, tmp_path,
-                                     "--compact", "--workers", "2",
+                                     "--backend", "compact",
+                                     "--workers", "2",
                                      "--max-batch", "8")
     try:
         with ServeClient(host, port) as client:
@@ -103,10 +104,10 @@ def test_cli_rejects_negative_cache_size(graph_file, capsys):
 
 def test_cli_fleet_requires_compact_backend(graph_file, capsys):
     """A multi-process fleet runs over a shared CSR snapshot, so
-    --workers > 1 without --compact must fail with a clean pointer to
-    the flag, not boot a half-configured server."""
+    --workers > 1 without --backend compact must fail with a clean
+    pointer to the flag, not boot a half-configured server."""
     assert cli_main(["serve", str(graph_file), "--workers", "2"]) == 1
-    assert "--compact" in capsys.readouterr().err
+    assert "--backend compact" in capsys.readouterr().err
 
 
 def test_cli_removes_ready_file_on_shutdown_and_restarts(graph_file,

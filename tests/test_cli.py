@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.graph.graph import Graph
+from repro.graph.io import save_graph
 
 
 @pytest.fixture
@@ -102,14 +104,15 @@ class TestQueryBackends:
 
     def test_compact_backend(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
-                     "--k", "2", "--compact"]) == 0
+                     "--k", "2", "--backend", "compact"]) == 0
         out = capsys.readouterr().out
         assert "R2NN(5)" in out and "compact" in out
         assert "0 page I/Os" in out  # compact adjacency reads are free
 
     def test_sharded_backend(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
-                     "--k", "2", "--shards", "4"]) == 0
+                     "--k", "2", "--backend", "sharded",
+                     "--shard-count", "4"]) == 0
         assert "4 shard(s)" in capsys.readouterr().out
 
     def test_oracle_flag(self, saved_graph, capsys):
@@ -120,7 +123,9 @@ class TestQueryBackends:
 
     def test_backends_agree_on_answers(self, saved_graph, capsys):
         answers = set()
-        for flags in ([], ["--compact"], ["--shards", "3"], ["--oracle"]):
+        for flags in ([], ["--backend", "compact"],
+                      ["--backend", "sharded", "--shard-count", "3"],
+                      ["--oracle"]):
             assert main(["query", str(saved_graph), "--query", "7",
                          "--k", "2", *flags]) == 0
             answers.add(capsys.readouterr().out.splitlines()[-2])
@@ -393,7 +398,8 @@ class TestBatch:
         unsharded = [line for line in capsys.readouterr().out.splitlines()
                      if "->" in line]
         assert main(["batch", str(saved_graph), "--specs", str(specs_file),
-                     "--shards", "4", "--workers", "2"]) == 0
+                     "--backend", "sharded", "--shard-count", "4",
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         sharded = [line for line in out.splitlines() if "->" in line]
         # identical answers (the per-line I/O counts may differ)
@@ -415,7 +421,7 @@ class TestBatch:
                      "-o", str(path)]) == 0
         capsys.readouterr()
         assert main(["batch", str(path), "--specs", str(specs_file),
-                     "--shards", "2"]) == 1
+                     "--backend", "sharded", "--shard-count", "2"]) == 1
         assert "restricted" in capsys.readouterr().err
 
 
@@ -504,7 +510,7 @@ class TestOracleBuild:
         specs = tmp_path / "queries.jsonl"
         specs.write_text('{"kind": "rknn", "query": 7, "k": 1}\n')
         assert main(["batch", str(saved_graph), "--specs", str(specs),
-                     "--compact", "--oracle", "--quiet"]) == 0
+                     "--backend", "compact", "--oracle", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "oracle: 8 landmarks" in out and "compact" in out
 
@@ -566,6 +572,23 @@ class TestPath:
         assert main(["path", str(path), "--source", "0", "--target", "5",
                      "--search", "astar"]) == 1
         assert "coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("search",
+                             ["dijkstra", "astar", "alt", "bidirectional"])
+    def test_disconnected_target_prints_no_path(self, tmp_path, capsys,
+                                                search):
+        # two components {0, 1, 2} and {3, 4}: the ALT bound across
+        # them is inf, which must still end in "no path", not a crash
+        graph = Graph.from_edges(
+            [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)],
+            coords=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (5.0, 0.0),
+                    (6.0, 0.0)],
+        )
+        path = tmp_path / "split.graph"
+        save_graph(path, graph)
+        assert main(["path", str(path), "--source", "0", "--target", "4",
+                     "--search", search]) == 1
+        assert capsys.readouterr().out == "no path from 0 to 4\n"
 
 
 class TestPlan:
@@ -665,5 +688,6 @@ class TestCompactCompact:
 
     def test_query_accepts_threshold_with_compact(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5", "--k", "2",
-                     "--compact", "--compact-threshold", "4"]) == 0
+                     "--backend", "compact", "--compact-threshold",
+                     "4"]) == 0
         assert "R2NN(5)" in capsys.readouterr().out
