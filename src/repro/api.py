@@ -13,61 +13,36 @@ exposes the query algorithms behind a small, cost-accounted API::
 
 Every query method returns a result object carrying the exact counter
 diff for that call, which is what the benchmark harness aggregates into
-the paper's tables and figures.
+the paper's tables and figures.  The query surface itself is
+:class:`~repro.facade.UndirectedFacade`; this module holds the disk
+storage under it.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from typing import AbstractSet, Iterable, Sequence
 
-from repro.core import baseline, unrestricted
-from repro.core.bichromatic import (
-    bichromatic_eager,
-    bichromatic_eager_m,
-    bichromatic_lazy,
-)
-from repro.core.continuous import validate_route
-from repro.core.eager import eager_rknn, eager_rknn_route
+from repro.core import baseline
 from repro.core.in_route import RouteStop, in_route_knn
-from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
-from repro.core.lazy import lazy_rknn, lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
-from repro.core.materialize import MaterializedKNN, Seed
-from repro.core.network import NetworkView
-from repro.core.nn import knn as restricted_knn
-from repro.core.nn import range_nn as restricted_range_nn
-from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
+from repro.core.result import KnnResult
 from repro.errors import QueryError
+from repro.facade import _EMPTY, METHODS, Location, UndirectedFacade, rebuffered
 from repro.graph.graph import Graph
 from repro.graph.partition import bfs_order, hilbert_order
-from repro.oracle import (
-    DEFAULT_LANDMARKS,
-    DistanceOracle,
-    LandmarkStore,
-    resolve_oracle_source,
-    select_landmarks,
-    store_landmark_distances,
-)
 from repro.points.points import EdgePointSet, NodePointSet, PointSet
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import DiskGraph, EdgePointStore
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
 
-_EMPTY: frozenset[int] = frozenset()
-
-#: Query-processing methods implemented by the database.
-METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
+__all__ = ["DEFAULT_BUFFER_PAGES", "GraphDatabase", "Location", "METHODS"]
 
 #: Default LRU buffer of the paper's evaluation: 1 MB = 256 pages of 4 KB.
 DEFAULT_BUFFER_PAGES = 256
 
-Location = unrestricted.Location
 
-
-class GraphDatabase:
+class GraphDatabase(UndirectedFacade):
     """Disk-based graph database answering (reverse) NN queries.
 
     Parameters
@@ -87,9 +62,6 @@ class GraphDatabase:
         ``"hilbert"`` packs spatially (requires coordinates).
     """
 
-    #: Engine-visible backend tag (see :func:`repro.engine.planner.backend_of`).
-    backend = "disk"
-
     def __init__(
         self,
         graph: Graph,
@@ -102,10 +74,8 @@ class GraphDatabase:
         if points is None:
             points = NodePointSet({})
         points.validate(graph)
-        self.graph = graph
-        self.points = points
+        self._init_state(graph, points)
         self.page_size = page_size
-        self.tracker = CostTracker()
         self.buffer = BufferManager(buffer_pages, self.tracker)
         if node_order == "bfs":
             self._order = bfs_order(graph)
@@ -123,30 +93,9 @@ class GraphDatabase:
             order=self._order,
             point_nodes=point_nodes,
         )
-        self._edge_store: EdgePointStore | None = None
         if isinstance(points, EdgePointSet):
-            self._edge_store = EdgePointStore(
-                graph, points, self.buffer, page_size=page_size, order=self._order
-            )
-        self.view = NetworkView(self.disk, points, self.tracker, self._edge_store)
-        self.materialized: MaterializedKNN | None = None
-        #: Landmark distance oracle (see :meth:`build_oracle`); ``None``
-        #: until built or opened.  Attached to every view as its bound
-        #: provider, so the expansion loops prune with it.
-        self.oracle: DistanceOracle | None = None
-        #: Persisted label file backing :attr:`oracle` (``None`` when the
-        #: oracle was opened from an in-memory object).
-        self.oracle_store: LandmarkStore | None = None
-        self._ref_points: PointSet | None = None
-        self._ref_view: NetworkView | None = None
-        self._ref_edge_store: EdgePointStore | None = None
-        self._ref_materialized: MaterializedKNN | None = None
-        #: Update generation: bumped by every point insertion/deletion.
-        #: The query engine keys its result cache on this counter, so a
-        #: bump invalidates every previously cached answer.
-        self.generation = 0
-
-    # -- constructors ------------------------------------------------------
+            self._edge_store = self._edge_points(points)
+        self._rebuild_view()
 
     @classmethod
     def from_edges(
@@ -158,217 +107,17 @@ class GraphDatabase:
         """Build a database straight from an edge list."""
         return cls(Graph.from_edges(edges), points, **kwargs)
 
-    # -- properties ---------------------------------------------------------
+    # -- storage ------------------------------------------------------------
 
-    @property
-    def restricted(self) -> bool:
-        """True when data points live on nodes (restricted network)."""
-        return self.points.restricted
+    def _paging(self):
+        return self.buffer, self._order
 
-    @property
-    def reference_points(self) -> PointSet | None:
-        """The attached bichromatic reference set Q (``None`` before
-        :meth:`attach_reference`)."""
-        return self._ref_points
-
-    # -- materialization -----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute the K-NN lists of every node (paper Section 4.1).
-
-        ``capacity`` is the paper's ``K``: the largest ``k`` any future
-        query may use (queries drawing from the data set and excluding
-        their own point effectively need ``K >= k + 1``).
-        """
-        self.materialized = MaterializedKNN.build(
-            self.view,
-            capacity,
-            self._materialization_seeds(self.points),
-            self.buffer,
-            page_size=self.page_size,
-            order=self._order,
+    def _edge_points(self, points: EdgePointSet) -> EdgePointStore:
+        """Page an unrestricted point set into its own point file."""
+        return EdgePointStore(
+            self.graph, points, self.buffer,
+            page_size=self.page_size, order=self._order,
         )
-
-    def materialize_reference(self, capacity: int) -> None:
-        """Materialize K-NN lists over the attached reference set Q."""
-        if self._ref_view is None or self._ref_points is None:
-            raise QueryError("attach_reference() before materialize_reference()")
-        self._ref_materialized = MaterializedKNN.build(
-            self._ref_view,
-            capacity,
-            self._materialization_seeds(self._ref_points),
-            self.buffer,
-            page_size=self.page_size,
-            order=self._order,
-        )
-
-    def _materialization_seeds(self, points: PointSet) -> list[Seed]:
-        seeds: list[Seed] = []
-        if isinstance(points, NodePointSet):
-            for pid, node in points.items():
-                seeds.append((node, pid, 0.0))
-        elif isinstance(points, EdgePointSet):
-            for pid, (u, v, pos) in points.items():
-                weight = self.graph.weight(u, v)
-                seeds.append((u, pid, pos))
-                seeds.append((v, pid, weight - pos))
-        return seeds
-
-    # -- bichromatic reference set ------------------------------------------
-
-    def attach_reference(self, reference: PointSet) -> None:
-        """Attach the reference set Q for bichromatic queries.
-
-        The database's own points act as P (the potential results); the
-        reference points compete with the query for their attention.
-        """
-        reference.validate(self.graph)
-        if reference.restricted != self.restricted:
-            raise QueryError("reference set must match the network's point mode")
-        self._ref_points = reference
-        self._ref_edge_store = None
-        if isinstance(reference, EdgePointSet):
-            self._ref_edge_store = EdgePointStore(
-                self.graph,
-                reference,
-                self.buffer,
-                page_size=self.page_size,
-                order=self._order,
-            )
-        self._ref_view = NetworkView(
-            self.disk, reference, self.tracker, self._ref_edge_store,
-            bounds=self.oracle,
-        )
-        self._ref_materialized = None
-        # swapping Q changes bichromatic answers: invalidate cached results
-        self.generation += 1
-
-    # -- landmark distance oracle -------------------------------------------
-
-    def build_oracle(
-        self,
-        count: int = DEFAULT_LANDMARKS,
-        *,
-        seed: int = 0,
-        strategy: str = "farthest",
-    ) -> OracleResult:
-        """Build and attach an ALT landmark distance oracle (charged).
-
-        Selects ``count`` landmarks (farthest-point heuristic by
-        default), runs one single-source Dijkstra per landmark over
-        the paged adjacency file (every read charged through the
-        buffer), persists the label table as a paged
-        :class:`~repro.oracle.store.LandmarkStore`, and attaches the
-        resulting :class:`~repro.oracle.oracle.DistanceOracle` to
-        every view.  Subsequent queries return bitwise identical
-        answers while expanding fewer edges (see
-        :mod:`repro.oracle.prune`).
-
-        Parameters
-        ----------
-        count:
-            Number of landmarks ``L`` (label storage is ``L`` doubles
-            per node).
-        seed:
-            Seeds the first landmark pick.
-        strategy:
-            ``"farthest"`` (default) or ``"random"``.
-
-        Returns
-        -------
-        OracleResult
-            The selected landmarks plus the exact preprocessing cost.
-        """
-        if not self.restricted:
-            raise QueryError(
-                "the distance oracle serves restricted networks "
-                "(node-resident points)"
-            )
-
-        def run():
-            landmarks, tables = select_landmarks(
-                lambda source: store_landmark_distances(
-                    self.disk, self.graph.num_nodes, source
-                ),
-                self.graph.num_nodes,
-                count,
-                seed=seed,
-                strategy=strategy,
-            )
-            store = LandmarkStore(
-                self.graph.num_nodes, landmarks, tables, self.buffer,
-                page_size=self.page_size, order=self._order,
-            )
-            return store, DistanceOracle(landmarks, tables)
-
-        (store, oracle), diff = self._measure(run)
-        self.oracle_store = store
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(
-            oracle.landmarks, oracle.storage_entries, store.num_pages,
-            diff.io_operations, diff.cpu_seconds, diff,
-        )
-
-    def open_oracle(self, source) -> OracleResult:
-        """Attach an oracle built elsewhere (store or oracle object).
-
-        Parameters
-        ----------
-        source:
-            A persisted :class:`~repro.oracle.store.LandmarkStore`
-            (decoded uncharged, like the compact backend decodes
-            adjacency pages) or a ready
-            :class:`~repro.oracle.oracle.DistanceOracle` -- e.g. one
-            built by another backend over the same graph.
-
-        Returns
-        -------
-        OracleResult
-            The attached landmarks (opening charges no I/O).
-        """
-        if not self.restricted:
-            raise QueryError(
-                "the distance oracle serves restricted networks "
-                "(node-resident points)"
-            )
-        oracle, store, pages = resolve_oracle_source(
-            source, self.graph.num_nodes
-        )
-        self.oracle_store = store
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(oracle.landmarks, oracle.storage_entries, pages, 0, 0.0)
-
-    def _attach_bounds(self, bounds) -> None:
-        self.view.bounds = bounds
-        if self._ref_view is not None:
-            self._ref_view.bounds = bounds
-
-    # -- serving --------------------------------------------------------------
-
-    def engine(self, **kwargs) -> "QueryEngine":
-        """A batch :class:`~repro.engine.engine.QueryEngine` over this
-        database.  Keyword arguments are forwarded to the engine
-        constructor (``cache_entries``, ``calibrator``, ``plan``)."""
-        from repro.engine.engine import QueryEngine
-
-        return QueryEngine(self, **kwargs)
-
-    def query(self, statement):
-        """Answer a qlang statement (or spec) on this database.
-
-        ``statement`` may be a qlang string (``"SELECT * FROM
-        rknn(query=7, k=2)"``; ``;`` separates a script), a
-        :class:`~repro.engine.spec.QuerySpec`, or a sequence of either.
-        Answers run through a batch engine, so compiled plans share
-        the planner, the result cache and (where the backend offers
-        one) the vectorized batch kernel.  Singular queries return one
-        result; scripts and sequences return a list.
-        """
-        from repro.qlang import execute
-
-        return execute(self, statement)
 
     def read_clone(self) -> "GraphDatabase":
         """A read-only session sharing this database's disk images.
@@ -386,302 +135,18 @@ class GraphDatabase:
         clone = copy.copy(self)
         clone.tracker = CostTracker()
         clone.buffer = BufferManager(self.buffer.capacity_pages, clone.tracker)
-        clone.disk = copy.copy(self.disk)
-        clone.disk.buffer = clone.buffer
-        if self._edge_store is not None:
-            clone._edge_store = copy.copy(self._edge_store)
-            clone._edge_store.buffer = clone.buffer
-        if self.materialized is not None:
-            store = copy.copy(self.materialized.store)
-            store.buffer = clone.buffer
-            clone.materialized = MaterializedKNN(store)
-        clone.view = NetworkView(
-            clone.disk, clone.points, clone.tracker, clone._edge_store,
-            bounds=self.oracle,
-        )
-        if self._ref_view is not None and self._ref_points is not None:
-            if self._ref_edge_store is not None:
-                clone._ref_edge_store = copy.copy(self._ref_edge_store)
-                clone._ref_edge_store.buffer = clone.buffer
-            clone._ref_view = NetworkView(
-                clone.disk, self._ref_points, clone.tracker,
-                clone._ref_edge_store, bounds=self.oracle,
-            )
-            if self._ref_materialized is not None:
-                ref_store = copy.copy(self._ref_materialized.store)
-                ref_store.buffer = clone.buffer
-                clone._ref_materialized = MaterializedKNN(ref_store)
+        clone.disk = rebuffered(self.disk, clone.buffer)
+        clone._edge_store = rebuffered(self._edge_store, clone.buffer)
+        clone._ref_edge_store = rebuffered(self._ref_edge_store, clone.buffer)
+        clone._rebuffer_lists(clone.buffer)
+        clone._rebind_views()
         return clone
-
-    # -- cost measurement -----------------------------------------------------
-
-    def reset_stats(self) -> None:
-        """Zero the counters (the buffer's contents are kept warm)."""
-        self.tracker.reset()
 
     def clear_buffer(self) -> None:
         """Drop every buffered page (cold-start the next query)."""
         self.buffer.clear()
 
-    def _measure(self, func):
-        before = self.tracker.snapshot()
-        with self.tracker.time_block():
-            outcome = func()
-        diff = self.tracker.diff(before)
-        return outcome, diff
-
-    # -- monochromatic RkNN -----------------------------------------------------
-
-    def rknn(
-        self,
-        query: Location,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Reverse k-nearest-neighbor query (paper Sections 3-5).
-
-        Parameters
-        ----------
-        query:
-            A node id in restricted networks; a node id or a canonical
-            ``(u, v, pos)`` edge location in unrestricted ones.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`METHODS`; ``"eager-m"`` requires
-            :meth:`materialize` first.
-        exclude:
-            Data point ids hidden for the query's duration (the
-            paper's workloads draw queries from the data points and
-            treat them as new arrivals).
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors (sorted point ids) plus the exact
-            counter diff of this call.
-        """
-        self._check_query(query, k, method)
-        points, diff = self._measure(lambda: self._run_rknn(query, k, method, exclude))
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def _run_rknn(
-        self, query: Location, k: int, method: str, exclude: AbstractSet[int]
-    ) -> list[int]:
-        if self.restricted:
-            if not isinstance(query, int):
-                raise QueryError("restricted networks take node-id queries")
-            if method == "eager":
-                return eager_rknn(self.view, query, k, exclude)
-            if method == "lazy":
-                return lazy_rknn(self.view, query, k, exclude)
-            if method == "lazy-ep":
-                return lazy_ep_rknn(self.view, query, k, exclude)
-            return eager_m_rknn(self.view, self._require_mat(), query, k, exclude)
-        if method == "eager":
-            return unrestricted.unrestricted_eager(self.view, query, k, exclude)
-        if method == "lazy":
-            return unrestricted.unrestricted_lazy(self.view, query, k, exclude)
-        if method == "lazy-ep":
-            return unrestricted.unrestricted_lazy_ep(self.view, query, k, exclude)
-        return unrestricted.unrestricted_eager_m(
-            self.view, self._require_mat(), query, k, exclude
-        )
-
-    # -- continuous RkNN ---------------------------------------------------------
-
-    def continuous_rknn(
-        self,
-        route: Sequence[int],
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Continuous RkNN along a route of nodes (Section 5.1).
-
-        Parameters
-        ----------
-        route:
-            A walk: consecutive nodes must share an edge.
-        k / method / exclude:
-            As in :meth:`rknn`.
-
-        Returns
-        -------
-        RnnResult
-            The union of the route nodes' reverse neighbor sets.
-        """
-        validate_route(self.view, route)
-        self._check_query(route[0], k, method)
-
-        def run() -> list[int]:
-            if self.restricted:
-                if method == "eager":
-                    return eager_rknn_route(self.view, route, k, exclude)
-                if method == "lazy":
-                    return lazy_rknn_route(self.view, route, k, exclude)
-                if method == "lazy-ep":
-                    return lazy_ep_rknn_route(self.view, route, k, exclude)
-                return eager_m_rknn_route(
-                    self.view, self._require_mat(), route, k, exclude
-                )
-            if method == "eager":
-                return unrestricted.unrestricted_eager(
-                    self.view, None, k, exclude, route=route
-                )
-            if method == "lazy":
-                return unrestricted.unrestricted_lazy(
-                    self.view, None, k, exclude, route=route
-                )
-            if method == "lazy-ep":
-                return unrestricted.unrestricted_lazy_ep(
-                    self.view, None, k, exclude, route=route
-                )
-            return unrestricted.unrestricted_eager_m(
-                self.view, self._require_mat(), None, k, exclude, route=route
-            )
-
-        points, diff = self._measure(run)
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- bichromatic RkNN ---------------------------------------------------------
-
-    def bichromatic_rknn(
-        self,
-        query: Location,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Bichromatic RkNN against the attached reference set (Section 5.1).
-
-        Parameters
-        ----------
-        query:
-            Query location (node id, or edge location when
-            unrestricted).
-        k:
-            Neighborhood size among the *reference* points.
-        method:
-            ``"eager"``, ``"lazy"`` or ``"eager-m"`` on restricted
-            networks (``eager-m`` needs :meth:`materialize_reference`);
-            ``"eager"`` on unrestricted ones.
-        exclude:
-            Reference point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            Database points P that keep the query among their k
-            nearest reference points.
-        """
-        if self._ref_view is None:
-            raise QueryError("attach_reference() before bichromatic queries")
-        self._check_query(query, k, method)
-
-        def run() -> list[int]:
-            if self.restricted:
-                if not isinstance(query, int):
-                    raise QueryError("restricted networks take node-id queries")
-                if method == "eager":
-                    return bichromatic_eager(self.view, self._ref_view, query, k, exclude)
-                if method == "lazy":
-                    return bichromatic_lazy(self.view, self._ref_view, query, k, exclude)
-                if method == "eager-m":
-                    if self._ref_materialized is None:
-                        raise QueryError(
-                            "materialize_reference() before bichromatic eager-m"
-                        )
-                    return bichromatic_eager_m(
-                        self.view, self._ref_view, self._ref_materialized,
-                        query, k, exclude,
-                    )
-                raise QueryError(
-                    "bichromatic queries support methods 'eager', 'lazy', 'eager-m'"
-                )
-            if method != "eager":
-                raise QueryError(
-                    "unrestricted bichromatic queries support method 'eager'"
-                )
-            return unrestricted.unrestricted_bichromatic_eager(
-                self.view, self._ref_view, query, k, exclude
-            )
-
-        points, diff = self._measure(run)
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- plain NN queries ----------------------------------------------------------
-
-    def knn(
-        self,
-        query: Location,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest data points of a location.
-
-        Parameters
-        ----------
-        query:
-            Query location (node id, or edge location when
-            unrestricted).
-        k:
-            Number of neighbors requested.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, network distance)`` pairs in ascending
-            distance order, plus the cost record.
-        """
-        def run() -> list[tuple[int, float]]:
-            if self.restricted:
-                if not isinstance(query, int):
-                    raise QueryError("restricted networks take node-id queries")
-                return restricted_knn(self.view, query, k, exclude)
-            return unrestricted.unrestricted_knn(self.view, query, k, exclude)
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """``range-NN(n, k, e)``: k nearest points strictly within ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict distance bound ``e`` (points at exactly ``radius``
-            are excluded).
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            Up to ``k`` points strictly inside the range, ascending.
-        """
-        def run() -> list[tuple[int, float]]:
-            if self.restricted:
-                return restricted_range_nn(self.view, query, k, radius, exclude)
-            return unrestricted.unrestricted_range_nn(
-                self.view, query, k, radius, exclude
-            )
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
+    # -- disk-only queries ----------------------------------------------------
 
     def in_route_knn(
         self,
@@ -708,105 +173,3 @@ class GraphDatabase:
         """Exact network distance between two locations (uncharged;
         computed on the in-memory graph, intended for examples/tests)."""
         return baseline.location_distance(self.graph, loc1, loc2)
-
-    # -- updates ---------------------------------------------------------------
-
-    def insert_point(self, pid: int, location: Location) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        location:
-            A node id on restricted networks; an ``(u, v, pos)``
-            triplet on unrestricted ones.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            updated = 0
-            if isinstance(self.points, NodePointSet):
-                if not isinstance(location, int):
-                    raise QueryError("restricted networks take node-id locations")
-                self.points = self.points.with_point(pid, location)
-                seeds = [(location, 0.0)]
-            else:
-                if isinstance(location, int):
-                    raise QueryError("unrestricted networks take edge locations")
-                loc = unrestricted.normalize_location(location)
-                self.points = self.points.with_point(pid, loc)
-                assert self._edge_store is not None
-                u, v, pos = loc
-                self._edge_store.insert_point(pid, u, v, pos)
-                weight = self.graph.weight(u, v)
-                seeds = [(u, pos), (v, weight - pos)]
-            self._rebuild_view()
-            if self.materialized is not None:
-                updated = self.materialized.insert(self.view, pid, seeds)
-            return updated
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            updated = 0
-            if isinstance(self.points, NodePointSet):
-                node = self.points.node_of(pid)
-                seeds = [(node, 0.0)]
-                self.points = self.points.without_point(pid)
-            else:
-                u, v, pos = self.points.location(pid)
-                weight = self.graph.weight(u, v)
-                seeds = [(u, pos), (v, weight - pos)]
-                self.points = self.points.without_point(pid)
-                assert self._edge_store is not None
-                self._edge_store.delete_point(pid, u, v)
-            self._rebuild_view()
-            if self.materialized is not None:
-                updated = self.materialized.delete(self.view, pid, seeds)
-            return updated
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _rebuild_view(self) -> None:
-        self.view = NetworkView(
-            self.disk, self.points, self.tracker, self._edge_store,
-            bounds=self.oracle,
-        )
-
-    # -- validation helpers -------------------------------------------------------
-
-    def _require_mat(self) -> MaterializedKNN:
-        if self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
-        return self.materialized
-
-    def _check_query(self, query: Location, k: int, method: str) -> None:
-        if method not in METHODS:
-            raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if isinstance(query, int) and not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        if not isinstance(query, int) and not math.isfinite(query[2]):
-            raise QueryError(f"non-finite edge offset {query[2]}")

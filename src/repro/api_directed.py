@@ -2,10 +2,10 @@
 
 The directed extension of the paper (its Section 7 future-work item):
 reverse nearest neighbors on graphs with asymmetric distances, e.g.
-road maps with one-way streets.  The facade mirrors
-:class:`~repro.api.GraphDatabase` for the query types the directed
-setting supports (monochromatic RkNN with ``eager`` / ``eager-m`` /
-``naive``, forward kNN, materialization with update maintenance)::
+road maps with one-way streets.  The query surface is
+:class:`~repro.facade.DirectedFacade` (monochromatic RkNN with
+``eager`` / ``eager-m`` / ``naive``, forward kNN, materialization with
+update maintenance); this module holds the disk storage under it::
 
     from repro import DirectedGraphDatabase, NodePointSet
 
@@ -19,41 +19,24 @@ setting supports (monochromatic RkNN with ``eager`` / ``eager-m`` /
 from __future__ import annotations
 
 import copy
-from typing import AbstractSet, Iterable
+from typing import Iterable
 
-from repro.core.directed import (
-    DirectedView,
-    directed_all_nn,
-    directed_delete,
-    directed_insert,
-    directed_knn,
-    directed_range_nn,
-    directed_rknn,
-)
-from repro.core.materialize import MaterializedKNN
-from repro.core.result import KnnResult, RnnResult, UpdateResult
 from repro.errors import QueryError
+from repro.facade import DIRECTED_METHODS as METHODS, DirectedFacade, rebuffered
 from repro.graph.digraph import DiGraph
 from repro.points.points import NodePointSet
 from repro.storage.buffer import BufferManager
-from repro.storage.disk import KnnListStore
 from repro.storage.disk_directed import DiskDiGraph, weak_bfs_order
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
 
-_EMPTY: frozenset[int] = frozenset()
-
-#: Query methods implemented for directed networks.
-METHODS = ("eager", "eager-m", "naive")
+__all__ = ["DEFAULT_BUFFER_PAGES", "DirectedGraphDatabase", "METHODS"]
 
 DEFAULT_BUFFER_PAGES = 256
 
 
-class DirectedGraphDatabase:
+class DirectedGraphDatabase(DirectedFacade):
     """Disk-based directed graph database answering RkNN queries."""
-
-    #: Engine-visible backend tag (see :func:`repro.engine.planner.backend_of`).
-    backend = "disk"
 
     def __init__(
         self,
@@ -68,10 +51,8 @@ class DirectedGraphDatabase:
         for pid, node in points.items():
             if not 0 <= node < graph.num_nodes:
                 raise QueryError(f"point {pid} lies on unknown node {node}")
-        self.graph = graph
-        self.points = points
+        self._init_state(graph, points)
         self.page_size = page_size
-        self.tracker = CostTracker()
         self.buffer = BufferManager(buffer_pages, self.tracker)
         self._order = weak_bfs_order(graph)
         self.disk = DiskDiGraph(
@@ -81,10 +62,7 @@ class DirectedGraphDatabase:
             order=self._order,
             point_nodes=frozenset(node for _, node in points.items()),
         )
-        self.view = DirectedView(self.disk, points, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Update generation (see :class:`~repro.api.GraphDatabase`).
-        self.generation = 0
+        self._rebuild_view()
 
     @classmethod
     def from_arcs(
@@ -96,40 +74,10 @@ class DirectedGraphDatabase:
         """Build a database straight from an arc list."""
         return cls(DiGraph.from_arcs(arcs), points, **kwargs)
 
-    # -- materialization -----------------------------------------------------
+    # -- storage ------------------------------------------------------------
 
-    def materialize(self, capacity: int) -> None:
-        """Precompute each node's forward K-NN list (directed all-NN)."""
-        lists = directed_all_nn(self.view, capacity)
-        store = KnnListStore(
-            self.graph.num_nodes,
-            capacity,
-            lists,
-            self.buffer,
-            page_size=self.page_size,
-            order=self._order,
-        )
-        self.materialized = MaterializedKNN(store)
-
-    # -- serving --------------------------------------------------------------
-
-    def engine(self, **kwargs) -> "QueryEngine":
-        """A batch :class:`~repro.engine.engine.QueryEngine` over this
-        database (``knn`` / ``rknn`` / ``range`` specs; the directed
-        facade has no bichromatic queries)."""
-        from repro.engine.engine import QueryEngine
-
-        return QueryEngine(self, **kwargs)
-
-    def query(self, statement):
-        """Answer a qlang statement (or spec) on this database.
-
-        See :meth:`repro.api.GraphDatabase.query`; the directed facade
-        answers every kind except the bichromatic ones.
-        """
-        from repro.qlang import execute
-
-        return execute(self, statement)
+    def _paging(self):
+        return self.buffer, self._order
 
     def read_clone(self) -> "DirectedGraphDatabase":
         """A read-only session with a private buffer and tracker.
@@ -142,186 +90,12 @@ class DirectedGraphDatabase:
         clone.tracker = CostTracker()
         clone.buffer = BufferManager(self.buffer.capacity_pages, clone.tracker)
         clone.disk = copy.copy(self.disk)
-        clone.disk._forward = copy.copy(self.disk._forward)
-        clone.disk._forward.buffer = clone.buffer
-        clone.disk._backward = copy.copy(self.disk._backward)
-        clone.disk._backward.buffer = clone.buffer
-        if self.materialized is not None:
-            store = copy.copy(self.materialized.store)
-            store.buffer = clone.buffer
-            clone.materialized = MaterializedKNN(store)
-        clone.view = DirectedView(clone.disk, clone.points, clone.tracker)
+        clone.disk._forward = rebuffered(self.disk._forward, clone.buffer)
+        clone.disk._backward = rebuffered(self.disk._backward, clone.buffer)
+        clone._rebuffer_lists(clone.buffer)
+        clone._rebuild_view()
         return clone
-
-    # -- cost measurement -------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        """Zero the counters (the buffer's contents are kept warm)."""
-        self.tracker.reset()
 
     def clear_buffer(self) -> None:
         """Drop every buffered page (cold-start the next query)."""
         self.buffer.clear()
-
-    def _measure(self, func):
-        before = self.tracker.snapshot()
-        with self.tracker.time_block():
-            outcome = func()
-        return outcome, self.tracker.diff(before)
-
-    # -- queries --------------------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Directed RkNN: points with ``d(p -> q) <= d(p -> p_k(p))``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`METHODS`; ``"eager-m"`` requires
-            :meth:`materialize` first.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors (sorted point ids) plus the exact
-            counter diff of this call.
-        """
-        self._check(query, k, method)
-        points, diff = self._measure(
-            lambda: directed_rknn(
-                self.view, query, k, method, self.materialized, exclude
-            )
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest points *from* ``query`` (forward distances).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, forward distance)`` pairs, ascending.
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_knn(self.view, query, k, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """Forward range-NN from ``query`` with a strict ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict bound on ``d(query -> x)``.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            Up to ``k`` points strictly inside the range, ascending.
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ----------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            self.points = self.points.with_point(pid, node)
-            self.view = DirectedView(self.disk, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_insert(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self.view = DirectedView(self.disk, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_delete(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _check(self, query: int, k: int, method: str) -> None:
-        if method not in METHODS:
-            raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        if method == "eager-m" and self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")

@@ -1,18 +1,20 @@
 """Compact database facades: the paper's queries over CSR flat arrays.
 
-:class:`CompactDatabase` mirrors the restricted-network surface of
-:class:`~repro.api.GraphDatabase` -- kNN, range-NN, monochromatic /
-continuous / bichromatic RkNN, materialization, point updates, batch
-serving -- over a :class:`~repro.compact.store.CompactGraphStore`.
-The query algorithms are reused verbatim through the standard
+:class:`CompactDatabase` inherits the restricted-network surface of
+:class:`~repro.api.GraphDatabase` (:class:`~repro.facade.UndirectedFacade`:
+kNN, range-NN, monochromatic / continuous / bichromatic RkNN,
+materialization, point updates, batch serving) over a
+:class:`~repro.compact.store.CompactGraphStore`.  The query algorithms
+are reused verbatim through the standard
 :class:`~repro.core.network.NetworkView`, so answers are **identical**
 to the disk-backed and sharded databases; what changes is the storage:
 adjacency lives in three flat arrays, reads are free (no pages, no
 buffer, no charged I/O) and a query's cost record counts only the
 algorithmic work (heap traffic, nodes visited, probes, CPU).
 
-:class:`CompactDirectedDatabase` is the directed counterpart
-(:class:`~repro.api_directed.DirectedGraphDatabase` surface).
+:class:`CompactDirectedDatabase` is the directed counterpart: it
+inherits the :class:`~repro.api_directed.DirectedGraphDatabase` surface
+(:class:`~repro.facade.DirectedFacade`).
 
 Because the store is immutable shared memory, :meth:`read_clone` is a
 constant-time operation: a session is a new tracker over the *same*
@@ -23,7 +25,7 @@ session without copying the graph (``backend="compact"`` mode).
 from __future__ import annotations
 
 import copy
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable
 
 from repro.compact.batch import (
     BatchRequest,
@@ -36,52 +38,21 @@ from repro.compact.store import (
     CompactGraphStore,
     MemoryKnnStore,
 )
-from repro.core.bichromatic import (
-    bichromatic_eager,
-    bichromatic_eager_m,
-    bichromatic_lazy,
-)
 from repro.core.continuous import validate_route
-from repro.core.directed import (
-    DirectedView,
-    directed_all_nn,
-    directed_delete,
-    directed_insert,
-    directed_knn,
-    directed_range_nn,
-    directed_rknn,
-)
-from repro.core.eager import eager_rknn, eager_rknn_route
-from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
-from repro.core.lazy import lazy_rknn, lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
-from repro.core.materialize import MaterializedKNN, all_nn
-from repro.core.network import NetworkView
-from repro.core.nn import knn as restricted_knn
-from repro.core.nn import range_nn as restricted_range_nn
-from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
+from repro.core.directed import directed_rknn
+from repro.core.result import OracleResult, RnnResult, UpdateResult
 from repro.errors import QueryError
+from repro.facade import DirectedFacade, UndirectedFacade
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph, edge_key
 from repro.graph.partition import bfs_order, hilbert_order
 from repro.oracle import (
-    DEFAULT_LANDMARKS,
-    DistanceOracle,
     LowerOnlyBounds,
     csr_landmark_distances,
     resolve_oracle_source,
-    select_landmarks,
 )
 from repro.points.points import NodePointSet
 from repro.storage.stats import CostTracker
-
-_EMPTY: frozenset[int] = frozenset()
-
-#: RkNN methods served by the compact undirected facade.
-METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
-
-#: RkNN methods served by the compact directed facade.
-DIRECTED_METHODS = ("eager", "eager-m", "naive")
 
 
 def _require_node_points(points: NodePointSet | None, graph_nodes: int) -> NodePointSet:
@@ -99,18 +70,23 @@ def _require_node_points(points: NodePointSet | None, graph_nodes: int) -> NodeP
     return points
 
 
-class _CompactMeasureMixin:
-    """Measurement and session plumbing shared by both compact facades."""
+class _CompactStorage:
+    """Storage plumbing shared by both compact facades."""
 
     #: Engine-visible backend tag (see :func:`repro.engine.planner.backend_of`).
     backend = "compact"
 
-    def _measure(self, func):
-        before = self.tracker.snapshot()
-        with self.tracker.time_block():
-            outcome = func()
-        diff = self.tracker.diff(before)
-        return outcome, diff
+    @property
+    def disk(self):
+        """The compact store, exposed under the facade's disk slot.
+
+        The engine's admission planner only needs ``disk.page_of``;
+        the compact store serves the packing-order locality rank.
+        """
+        return self.store
+
+    def _knn_store(self, capacity: int, lists):
+        return MemoryKnnStore(self.graph.num_nodes, capacity, lists)
 
     def _batch_measure(self, flat, requests, oracle):
         """Run the vectorized kernel under this facade's cost tracking.
@@ -139,11 +115,22 @@ class _CompactMeasureMixin:
             )
         return tuple(results)
 
-    # -- cost measurement ---------------------------------------------------
+    def read_clone(self):
+        """A read-only session **sharing** this database's CSR arrays.
 
-    def reset_stats(self) -> None:
-        """Zero the counters."""
-        self.tracker.reset()
+        Returns
+        -------
+        CompactDatabase or CompactDirectedDatabase
+            A constant-time clone: the flat arrays and materialized
+            lists are shared read-only; only the tracker (and the
+            views bound to it) is private, so concurrent sessions
+            never race on counters.  Running updates through a clone
+            is unsupported.
+        """
+        clone = copy.copy(self)
+        clone.tracker = CostTracker()
+        clone._rebind_views()
+        return clone
 
     def clear_buffer(self) -> None:
         """No-op: the compact store has no buffer to cool.
@@ -152,44 +139,8 @@ class _CompactMeasureMixin:
         call ``clear_buffer`` between cold runs) run unchanged.
         """
 
-    # -- serving ------------------------------------------------------------
 
-    def engine(self, **kwargs) -> "QueryEngine":
-        """A batch :class:`~repro.engine.engine.QueryEngine` over this
-        database.
-
-        Parameters
-        ----------
-        **kwargs:
-            Forwarded to the engine constructor (``cache_entries``,
-            ``calibrator``, ``plan``, ``batch_kernel``).  The engine
-            detects the compact backend: worker sessions share these
-            read-only arrays instead of cloning storage, and batched
-            RkNN specs execute through the vectorized
-            :meth:`~CompactDatabase.batch_rknn` kernel unless
-            ``batch_kernel=False``.
-
-        Returns
-        -------
-        QueryEngine
-        """
-        from repro.engine.engine import QueryEngine
-
-        return QueryEngine(self, **kwargs)
-
-    def query(self, statement):
-        """Answer a qlang statement (or spec) on this database.
-
-        See :meth:`repro.api.GraphDatabase.query`; on the compact
-        backend, batchable sub-queries of compiled plans execute
-        through the vectorized :meth:`batch_rknn` kernel.
-        """
-        from repro.qlang import execute
-
-        return execute(self, statement)
-
-
-class CompactDatabase(_CompactMeasureMixin):
+class CompactDatabase(_CompactStorage, UndirectedFacade):
     """Memory-resident CSR graph database answering (reverse) NN queries.
 
     Parameters
@@ -222,9 +173,7 @@ class CompactDatabase(_CompactMeasureMixin):
     ):
         points = _require_node_points(points, graph.num_nodes)
         points.validate(graph)
-        self.graph = graph
-        self.points = points
-        self.tracker = CostTracker()
+        self._init_state(graph, points)
         if node_order == "bfs":
             order = bfs_order(graph)
         elif node_order == "hilbert":
@@ -232,18 +181,7 @@ class CompactDatabase(_CompactMeasureMixin):
         else:
             raise QueryError(f"unknown node_order {node_order!r}")
         self.store = CompactGraphStore(graph, order=order)
-        self.view = NetworkView(self.store, points, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Landmark distance oracle (see :meth:`build_oracle`); ``None``
-        #: until built or opened.  The compact backend keeps it purely
-        #: in memory (no pages to persist to).
-        self.oracle: DistanceOracle | None = None
-        self._ref_points: NodePointSet | None = None
-        self._ref_view: NetworkView | None = None
-        self._ref_materialized: MaterializedKNN | None = None
-        #: Update generation: bumped by every point insertion/deletion
-        #: (the query engine keys its result cache on this counter).
-        self.generation = 0
+        self._rebuild_view()
         self._init_overlay(compact_threshold)
 
     def _init_overlay(self, compact_threshold: int | None) -> None:
@@ -310,26 +248,13 @@ class CompactDatabase(_CompactMeasureMixin):
         """
         points = _require_node_points(db.points, db.graph.num_nodes)
         compact = cls.__new__(cls)
-        compact.graph = db.graph
-        compact.points = points
-        compact.tracker = CostTracker()
+        compact._init_state(db.graph, points)
         compact.store = CompactGraphStore.from_disk(db.disk)
-        compact.view = NetworkView(compact.store, points, compact.tracker)
-        compact.materialized = None
-        compact.oracle = None
-        compact._ref_points = None
-        compact._ref_view = None
-        compact._ref_materialized = None
-        compact.generation = 0
+        compact._rebuild_view()
         compact._init_overlay(None)
         return compact
 
     # -- properties ---------------------------------------------------------
-
-    @property
-    def restricted(self) -> bool:
-        """Always true: the compact backend stores points on nodes."""
-        return True
 
     @property
     def stamp(self) -> tuple[int, int]:
@@ -353,164 +278,41 @@ class CompactDatabase(_CompactMeasureMixin):
             and self.overlay.epoch >= self.compact_threshold
         )
 
-    @property
-    def disk(self):
-        """The compact store, exposed under the facade's disk slot.
+    # -- storage ------------------------------------------------------------
 
-        The engine's admission planner only needs ``disk.page_of``;
-        the compact store serves the packing-order locality rank.
+    def _label_store(self, landmarks, tables) -> None:
+        """Landmark labels stay in memory (no pages to persist to)."""
+        return None
+
+    def _landmark_distances(self, source: int) -> list[float]:
+        """One landmark's distances by a Dijkstra over the CSR arrays,
+        relaxations vectorized across each adjacency range (uncharged)."""
+        return csr_landmark_distances(self.store.csr, source)
+
+    def _check_oracle_network(self, what: str) -> None:
+        self._require_base_network(what)
+
+    def open_oracle(self, source) -> OracleResult:
+        """Attach an oracle built elsewhere, kept in memory.
+
+        See :meth:`repro.facade.UndirectedFacade.open_oracle`; a
+        persisted label file is decoded once (uncharged) and not kept,
+        so the result reports zero pages.
         """
-        return self.store
-
-    @property
-    def reference_points(self) -> NodePointSet | None:
-        """The attached bichromatic reference set Q (``None`` before
-        :meth:`attach_reference`)."""
-        return self._ref_points
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute the K-NN lists of every node (paper Section 4.1).
-
-        Parameters
-        ----------
-        capacity:
-            The paper's ``K``: the largest ``k`` any future ``eager-m``
-            query may use (data-distributed queries that exclude their
-            own point effectively need ``K >= k + 1``).
-        """
-        lists = all_nn(
-            self.view,
-            capacity,
-            [(node, pid, 0.0) for pid, node in self.points.items()],
-        )
-        store = MemoryKnnStore(self.graph.num_nodes, capacity, lists)
-        self.materialized = MaterializedKNN(store)
-
-    def materialize_reference(self, capacity: int) -> None:
-        """Materialize K-NN lists over the attached reference set Q.
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` for the reference materialization
-            (required by bichromatic ``eager-m``).
-        """
-        if self._ref_view is None or self._ref_points is None:
-            raise QueryError("attach_reference() before materialize_reference()")
-        lists = all_nn(
-            self._ref_view,
-            capacity,
-            [(node, pid, 0.0) for pid, node in self._ref_points.items()],
-        )
-        store = MemoryKnnStore(self.graph.num_nodes, capacity, lists)
-        self._ref_materialized = MaterializedKNN(store)
-
-    # -- bichromatic reference set ------------------------------------------
+        oracle, _, _ = resolve_oracle_source(source, self.graph.num_nodes)
+        return super().open_oracle(oracle)
 
     def attach_reference(self, reference: NodePointSet) -> None:
         """Attach the reference set Q for bichromatic queries.
 
-        Parameters
-        ----------
-        reference:
-            A :class:`~repro.points.points.NodePointSet`; the facade's
-            own points act as P.  Swapping Q bumps the generation so
-            cached bichromatic answers invalidate.
+        See :meth:`repro.facade.UndirectedFacade.attach_reference`.
+        Swapping Q replaces an immutable input outside the delta log,
+        so it also moves the *base* half of the snapshot stamp --
+        cached bichromatic answers keyed on the old stamp become
+        unreachable.
         """
-        if not isinstance(reference, NodePointSet):
-            raise QueryError("the compact backend takes node-resident references")
-        reference.validate(self.graph)
-        self._ref_points = reference
-        self._ref_view = NetworkView(
-            self.store, reference, self.tracker, bounds=self.oracle
-        )
-        self._ref_materialized = None
-        self.generation += 1
-        # Swapping Q replaces an immutable input outside the delta log,
-        # so it moves the *base* half of the snapshot stamp -- cached
-        # bichromatic answers keyed on the old stamp become unreachable.
+        super().attach_reference(reference)
         self.base_generation += 1
-
-    # -- landmark distance oracle -------------------------------------------
-
-    def build_oracle(
-        self,
-        count: int = DEFAULT_LANDMARKS,
-        *,
-        seed: int = 0,
-        strategy: str = "farthest",
-    ) -> OracleResult:
-        """Build and attach an ALT landmark distance oracle (CPU only).
-
-        One single-source Dijkstra per landmark runs directly over the
-        CSR flat arrays, with the relaxation step vectorized across
-        each adjacency range -- no pages, no buffer, no charged I/O.
-        The oracle stays in memory (the compact backend has no disk
-        store to persist to; use :meth:`open_oracle` to share a label
-        table built by a paged backend, or hand this oracle to one).
-
-        Parameters
-        ----------
-        count:
-            Number of landmarks ``L``.
-        seed:
-            Seeds the first landmark pick.
-        strategy:
-            ``"farthest"`` (default) or ``"random"``.
-
-        Returns
-        -------
-        OracleResult
-            The selected landmarks plus the CPU-only cost record.
-        """
-        self._require_base_network("build_oracle")
-
-        def run():
-            landmarks, tables = select_landmarks(
-                lambda source: csr_landmark_distances(self.store.csr, source),
-                self.graph.num_nodes,
-                count,
-                seed=seed,
-                strategy=strategy,
-            )
-            return DistanceOracle(landmarks, tables)
-
-        oracle, diff = self._measure(run)
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(
-            oracle.landmarks, oracle.storage_entries, 0,
-            diff.io_operations, diff.cpu_seconds, diff,
-        )
-
-    def open_oracle(self, source) -> OracleResult:
-        """Attach an oracle built elsewhere (store or oracle object).
-
-        Parameters
-        ----------
-        source:
-            A persisted :class:`~repro.oracle.store.LandmarkStore`
-            (decoded uncharged) or a ready
-            :class:`~repro.oracle.oracle.DistanceOracle` built by any
-            backend over the same graph.
-
-        Returns
-        -------
-        OracleResult
-            The attached landmarks (opening charges no I/O).
-        """
-        self._require_base_network("open_oracle")
-        oracle, _, _ = resolve_oracle_source(source, self.graph.num_nodes)
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(oracle.landmarks, oracle.storage_entries, 0, 0, 0.0)
-
-    def _attach_bounds(self, bounds) -> None:
-        self.view.bounds = bounds
-        if self._ref_view is not None:
-            self._ref_view.bounds = bounds
 
     # -- snapshots ----------------------------------------------------------
 
@@ -568,29 +370,6 @@ class CompactDatabase(_CompactMeasureMixin):
 
     # -- sessions -----------------------------------------------------------
 
-    def read_clone(self) -> "CompactDatabase":
-        """A read-only session **sharing** this database's CSR arrays.
-
-        Returns
-        -------
-        CompactDatabase
-            A constant-time clone: the flat arrays and materialized
-            lists are shared read-only; only the tracker (and the
-            views bound to it) is private, so concurrent sessions
-            never race on counters.  Running updates through a clone
-            is unsupported.
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.view = NetworkView(
-            self.store, clone.points, clone.tracker, bounds=self.oracle
-        )
-        if self._ref_points is not None:
-            clone._ref_view = NetworkView(
-                self.store, self._ref_points, clone.tracker, bounds=self.oracle
-            )
-        return clone
-
     def at_epoch(self, epoch: int) -> "CompactDatabase":
         """A pinned read-only session answering as of delta ``epoch``.
 
@@ -636,88 +415,10 @@ class CompactDatabase(_CompactMeasureMixin):
         session._ref_materialized = None
         if any(op.kind == "insert-edge" for op in edge_ops):
             session.oracle = None
-        session.view = NetworkView(
-            session.store, points, session.tracker, bounds=session.oracle
-        )
+        session._rebuild_view()
         session.delta_epoch = epoch
         session._time_travel = True
         return session
-
-    # -- monochromatic RkNN -------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Reverse k-nearest-neighbor query (paper Sections 3-5).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`METHODS`; ``eager-m`` needs
-            :meth:`materialize` first.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors plus the cost record (zero I/O: the
-            compact store never faults).
-        """
-        self._check_query(query, k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn([query], k, method, exclude, route=False)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def continuous_rknn(
-        self,
-        route: Sequence[int],
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Continuous RkNN along a route of nodes (Section 5.1).
-
-        Parameters
-        ----------
-        route:
-            A walk: consecutive nodes must share an edge.
-        k / method / exclude:
-            As in :meth:`rknn`.
-
-        Returns
-        -------
-        RnnResult
-        """
-        validate_route(self.view, route)
-        self._check_query(route[0], k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn(list(route), k, method, exclude, route=True)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def _run_rknn(self, sources, k, method, exclude, *, route):
-        if method == "eager":
-            runner = eager_rknn_route if route else eager_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        if method == "lazy":
-            runner = lazy_rknn_route if route else lazy_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        if method == "lazy-ep":
-            runner = lazy_ep_rknn_route if route else lazy_ep_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        mat = self._require_mat()
-        runner = eager_m_rknn_route if route else eager_m_rknn
-        return runner(self.view, mat, sources if route else sources[0], k, exclude)
 
     # -- vectorized batch kernel --------------------------------------------
 
@@ -791,11 +492,10 @@ class CompactDatabase(_CompactMeasureMixin):
         """Per-spec scalar loop: the numpy-free ``batch_rknn`` fallback."""
         results = []
         for spec in specs:
-            route = spec.kind == "continuous"
-            sources = list(spec.route) if route else [spec.query]
+            route = list(spec.route) if spec.kind == "continuous" else None
             points, diff = self._measure(
-                lambda sources=sources, spec=spec, route=route: self._run_rknn(
-                    sources, spec.k, spec.method, spec.exclude, route=route
+                lambda spec=spec, route=route: self._run_rknn(
+                    spec.query, spec.k, spec.method, spec.exclude, route
                 )
             )
             results.append(
@@ -804,178 +504,7 @@ class CompactDatabase(_CompactMeasureMixin):
             )
         return results
 
-    # -- bichromatic RkNN ---------------------------------------------------
-
-    def bichromatic_rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Bichromatic RkNN against the attached reference set.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size among *reference* points.
-        method:
-            ``"eager"``, ``"lazy"`` or ``"eager-m"`` (the latter needs
-            :meth:`materialize_reference`).
-        exclude:
-            Reference point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            Database points that keep the query among their k nearest
-            reference points.
-        """
-        if self._ref_view is None:
-            raise QueryError("attach_reference() before bichromatic queries")
-        self._check_query(query, k, method)
-
-        def run() -> list[int]:
-            if method == "eager":
-                return bichromatic_eager(self.view, self._ref_view, query, k, exclude)
-            if method == "lazy":
-                return bichromatic_lazy(self.view, self._ref_view, query, k, exclude)
-            if method == "eager-m":
-                if self._ref_materialized is None:
-                    raise QueryError(
-                        "materialize_reference() before bichromatic eager-m"
-                    )
-                return bichromatic_eager_m(
-                    self.view, self._ref_view, self._ref_materialized,
-                    query, k, exclude,
-                )
-            raise QueryError(
-                "bichromatic queries support methods 'eager', 'lazy', 'eager-m'"
-            )
-
-        points, diff = self._measure(run)
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- plain NN queries ---------------------------------------------------
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest data points of a node.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, network distance)`` pairs in ascending order.
-        """
-        def run() -> list[tuple[int, float]]:
-            if not isinstance(query, int):
-                raise QueryError("the compact backend takes node-id queries")
-            return restricted_knn(self.view, query, k, exclude)
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """``range-NN(n, k, e)``: k nearest points strictly within ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict distance bound ``e``.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: restricted_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            Number of updated K-NN lists plus the cost record.
-        """
-        self._require_writable()
-
-        def run() -> int:
-            if not isinstance(node, int):
-                raise QueryError("the compact backend takes node-id locations")
-            self.points = self.points.with_point(pid, node)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.insert(self.view, pid, [(node, 0.0)])
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_op(DeltaOp("insert-point", pid=pid, node=node))
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-        """
-        self._require_writable()
-
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.delete(self.view, pid, [(node, 0.0)])
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_op(DeltaOp("delete-point", pid=pid))
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
+    # -- edge updates and compaction ----------------------------------------
 
     def insert_edge(self, u: int, v: int, weight: float) -> UpdateResult:
         """Append an edge insertion to the delta overlay.
@@ -1026,7 +555,7 @@ class CompactDatabase(_CompactMeasureMixin):
             return self.overlay.epoch + 1
 
         affected, diff = self._measure(run)
-        self._log_op(DeltaOp("insert-edge", u=u, v=v, weight=float(weight)))
+        self._log_write("insert-edge", u=u, v=v, weight=float(weight))
         return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
 
     def delete_edge(self, u: int, v: int) -> UpdateResult:
@@ -1067,7 +596,7 @@ class CompactDatabase(_CompactMeasureMixin):
             return self.overlay.epoch + 1
 
         affected, diff = self._measure(run)
-        self._log_op(DeltaOp("delete-edge", u=u, v=v))
+        self._log_write("delete-edge", u=u, v=v)
         return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
 
     # -- compaction ----------------------------------------------------------
@@ -1116,12 +645,7 @@ class CompactDatabase(_CompactMeasureMixin):
             self.base_generation += 1
             self.delta_epoch = 0
             self._live_weights = None
-            self._rebuild_view()
-            if self._ref_points is not None:
-                self._ref_view = NetworkView(
-                    self.store, self._ref_points, self.tracker,
-                    bounds=self.oracle,
-                )
+            self._rebind_views()
             return folded
 
         folded, diff = self._measure(run)
@@ -1160,20 +684,17 @@ class CompactDatabase(_CompactMeasureMixin):
             self._live_weights = live
         return self._live_weights
 
-    def _log_op(self, op: DeltaOp) -> None:
+    def _log_write(self, kind: str, **fields) -> None:
         """Append a validated mutation: bump the epoch, rebind views,
         auto-compact past the threshold.  Never drains readers --
         pinned sessions keep their captured store/point references."""
+        op = DeltaOp(kind, **fields)
         self.delta_epoch = self.overlay.append(op)
         if op.is_edge_op:
             self.store = OverlayGraphStore(
                 self._base_store, self.overlay.edge_ops_at(self.delta_epoch)
             )
-        self._rebuild_view()
-        if self._ref_points is not None:
-            self._ref_view = NetworkView(
-                self.store, self._ref_points, self.tracker, bounds=self.oracle
-            )
+        self._rebind_views()
         self.generation += 1
         if self.needs_compaction:
             self.compact()
@@ -1182,18 +703,6 @@ class CompactDatabase(_CompactMeasureMixin):
         if self._time_travel:
             raise QueryError("time-travel sessions are read-only")
 
-    def _rebuild_view(self) -> None:
-        self.view = NetworkView(
-            self.store, self.points, self.tracker, bounds=self.oracle
-        )
-
-    # -- validation helpers -------------------------------------------------
-
-    def _require_mat(self) -> MaterializedKNN:
-        if self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
-        return self.materialized
-
     def _require_base_network(self, what: str) -> None:
         if self.overlay.edge_op_count:
             raise QueryError(
@@ -1201,24 +710,14 @@ class CompactDatabase(_CompactMeasureMixin):
                 "edge delta(s) pending -- compact() first"
             )
 
-    def _check_query(self, query: int, k: int, method: str) -> None:
-        if method not in METHODS:
-            raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not isinstance(query, int):
-            raise QueryError("the compact backend takes node-id queries")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
 
-
-class CompactDirectedDatabase(_CompactMeasureMixin):
+class CompactDirectedDatabase(_CompactStorage, DirectedFacade):
     """Memory-resident CSR directed graph database answering RkNN queries.
 
-    Mirrors :class:`~repro.api_directed.DirectedGraphDatabase` over a
-    :class:`~repro.compact.store.CompactDiGraphStore`: backward
-    expansions and forward probes read the two CSR direction arrays,
-    free of page I/O.
+    Inherits :class:`~repro.api_directed.DirectedGraphDatabase`'s
+    surface over a :class:`~repro.compact.store.CompactDiGraphStore`:
+    backward expansions and forward probes read the two CSR direction
+    arrays, free of page I/O.
     """
 
     def __init__(
@@ -1227,14 +726,9 @@ class CompactDirectedDatabase(_CompactMeasureMixin):
         points: NodePointSet | None = None,
     ):
         points = _require_node_points(points, graph.num_nodes)
-        self.graph = graph
-        self.points = points
-        self.tracker = CostTracker()
+        self._init_state(graph, points)
         self.store = CompactDiGraphStore(graph)
-        self.view = DirectedView(self.store, points, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Update generation (see :class:`CompactDatabase`).
-        self.generation = 0
+        self._rebuild_view()
 
     @classmethod
     def from_arcs(
@@ -1276,82 +770,10 @@ class CompactDirectedDatabase(_CompactMeasureMixin):
         CompactDirectedDatabase
         """
         compact = cls.__new__(cls)
-        compact.graph = db.graph
-        compact.points = db.points
-        compact.tracker = CostTracker()
+        compact._init_state(db.graph, db.points)
         compact.store = CompactDiGraphStore.from_disk(db.disk)
-        compact.view = DirectedView(compact.store, db.points, compact.tracker)
-        compact.materialized = None
-        compact.generation = 0
+        compact._rebuild_view()
         return compact
-
-    @property
-    def disk(self):
-        """The compact store (planner access to the locality rank)."""
-        return self.store
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute each node's forward K-NN list (directed all-NN).
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` -- the largest ``k`` served by
-            ``eager-m``.
-        """
-        lists = directed_all_nn(self.view, capacity)
-        store = MemoryKnnStore(self.graph.num_nodes, capacity, lists)
-        self.materialized = MaterializedKNN(store)
-
-    # -- sessions -----------------------------------------------------------
-
-    def read_clone(self) -> "CompactDirectedDatabase":
-        """A read-only session sharing the CSR arrays (constant time).
-
-        Returns
-        -------
-        CompactDirectedDatabase
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.view = DirectedView(self.store, clone.points, clone.tracker)
-        return clone
-
-    # -- queries ------------------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Directed RkNN: points with ``d(p -> q) <= d(p -> p_k(p))``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`DIRECTED_METHODS`.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-        """
-        self._check(query, k, method)
-        points, diff = self._measure(
-            lambda: directed_rknn(
-                self.view, query, k, method, self.materialized, exclude
-            )
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
 
     # -- vectorized batch kernel --------------------------------------------
 
@@ -1387,7 +809,7 @@ class CompactDirectedDatabase(_CompactMeasureMixin):
                     f"batch_rknn serves kinds {self.batch_kinds}, "
                     f"got {spec.kind!r}"
                 )
-            self._check(spec.query, spec.k, spec.method)
+            self._check_query(spec.query, spec.k, spec.method)
             if spec.method == "eager-m" and spec.k > self.materialized.capacity:
                 raise QueryError(
                     f"k={spec.k} exceeds the materialized capacity "
@@ -1417,125 +839,3 @@ class CompactDirectedDatabase(_CompactMeasureMixin):
                           diff.cpu_seconds, diff)
             )
         return results
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest points *from* ``query`` (forward distances).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_knn(self.view, query, k, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """Forward range-NN from ``query`` with a strict ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict bound on ``d(query -> x)``.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            self.points = self.points.with_point(pid, node)
-            self.view = DirectedView(self.store, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_insert(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self.view = DirectedView(self.store, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_delete(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _check(self, query: int, k: int, method: str) -> None:
-        if method not in DIRECTED_METHODS:
-            raise QueryError(
-                f"unknown method {method!r}; choose one of {DIRECTED_METHODS}"
-            )
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not isinstance(query, int):
-            raise QueryError("directed networks take node-id queries")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        if method == "eager-m" and self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")

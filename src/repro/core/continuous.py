@@ -30,13 +30,16 @@ METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
 def validate_route(view: NetworkView, route: Sequence[int]) -> None:
     """Check that ``route`` is a walk: consecutive nodes share an edge.
 
-    Raises :class:`QueryError` on an empty route, an out-of-range node
-    or a missing edge.  Reads adjacency lists through the buffer (the
-    route is part of the query and its inspection is charged work).
+    Raises :class:`QueryError` on an empty route, a node that is not an
+    integer id, an out-of-range node or a missing edge.  Reads adjacency
+    lists through the buffer (the route is part of the query and its
+    inspection is charged work).
     """
     if not route:
         raise QueryError("route must contain at least one node")
     for node in route:
+        if not isinstance(node, int):
+            raise QueryError(f"route node {node!r} is not a node id")
         if not 0 <= node < view.num_nodes:
             raise QueryError(f"route node {node} out of range")
     for prev, nxt in zip(route, route[1:]):

@@ -20,7 +20,7 @@ three cooperating mechanisms:
   each worker runs on a :meth:`~repro.api.GraphDatabase.read_clone`
   session with a private buffer and tracker, and the per-query counter
   diffs are merged back into the database's global accounting.  The
-  pool adapts to the backend (:func:`repro.engine.planner.backend_of`):
+  pool adapts to the database's capabilities, not its ``backend`` tag:
   over a **sharded** backend (:mod:`repro.shard`) queries are routed to
   the shard their expansion starts in and whole shard buckets are
   assigned to workers, so independent shards execute concurrently;
@@ -403,11 +403,11 @@ class QueryEngine:
             for index, result in self._run_items(self.db, pending, tracer):
                 results[index] = result
         else:
-            # backend="sharded": whole shard buckets per worker.
-            # backend="compact"/"disk": contiguous planner-order chunks
+            # sharded storage (it exposes shard_of): whole shard buckets
+            # per worker; otherwise contiguous planner-order chunks
             # (compact sessions share the read-only CSR arrays, so the
             # pool costs one tracker per worker, not a storage clone).
-            if self.shard_parallel and self.backend == "sharded":
+            if self.shard_parallel and hasattr(self.db, "shard_of"):
                 chunks = _shard_chunks(self.db, pending, workers)
             else:
                 chunks = _contiguous_chunks(pending, workers)

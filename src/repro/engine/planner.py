@@ -104,37 +104,24 @@ def backend_of(db) -> str:
     """The storage backend class of a database: one of
     ``"disk"``, ``"sharded"``, ``"compact"``.
 
-    Facades advertise themselves through a ``backend`` attribute
-    (``"compact"`` for the CSR flat-array databases); sharded backends
-    are also recognized structurally through ``shard_of``.  Anything
-    else is treated as the single disk store.  The engine picks its
-    worker strategy from this value: shard-bucketed chunks for
-    ``"sharded"``, contiguous chunks over array-sharing sessions for
-    ``"compact"``, contiguous chunks over buffer-cloning sessions for
-    ``"disk"``.
+    Every facade inherits a ``backend`` tag; anything without one is
+    treated as the single disk store.  The tag only labels spans,
+    slow-log records, ``EXPLAIN`` output and ``/metrics``: the engine
+    picks its strategies from capabilities (``shard_of``,
+    ``batch_kinds``), not from this value.
     """
-    tag = getattr(db, "backend", None)
-    if tag in ("disk", "sharded", "compact"):
-        return tag
-    if hasattr(db, "shard_of"):
-        return "sharded"
-    return "disk"
+    return getattr(db, "backend", "disk")
 
 
 def kernel_batch_kinds(db) -> tuple[str, ...]:
     """Query kinds ``db`` can answer through a vectorized batch kernel.
 
-    Only the compact backend carries one (``batch_rknn`` over the CSR
-    flat arrays); it advertises the kinds it vectorizes through a
+    A database with a kernel (``batch_rknn`` over the compact CSR flat
+    arrays) advertises the kinds it vectorizes through a
     ``batch_kinds`` attribute (``("rknn", "continuous")`` undirected,
-    ``("rknn",)`` directed).  Every other backend -- and a compact
-    facade without the kernel -- returns ``()``, so the engine's
-    dispatch degrades to the scalar per-spec loop.
+    ``("rknn",)`` directed).  Every other database returns ``()``, so
+    the engine's dispatch degrades to the scalar per-spec loop.
     """
-    if backend_of(db) != "compact":
-        return ()
-    if getattr(db, "batch_rknn", None) is None:
-        return ()
     return tuple(getattr(db, "batch_kinds", ()))
 
 

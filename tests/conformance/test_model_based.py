@@ -73,6 +73,11 @@ def _pick(items, index):
     return ordered[index % len(ordered)]
 
 
+def _with_eager_m(k, capacity, methods):
+    """``methods`` plus eager-m when lists of ``capacity >= k`` exist."""
+    return methods + (("eager-m",) if capacity and k <= capacity else ())
+
+
 def _check_ranked(got, expected_dists, true_dist, label):
     """``got`` lists the right distances, each true for its point.
 
@@ -157,16 +162,13 @@ class UndirectedFacades(RuleBasedStateMachine):
 
     # -- reads ----------------------------------------------------------
 
-    def _methods(self, k, capacity, plain):
-        return plain + (("eager-m",) if capacity and k <= capacity else ())
-
     @rule(pick=PICKS, k=KS)
     def rknn(self, pick, k):
         query = pick % self.num_nodes
         expected = brute_force_rknn(
             self.graph, NodePointSet(self.points), query, k
         )
-        for method in self._methods(k, self.capacity,
+        for method in _with_eager_m(k, self.capacity,
                                     ("eager", "lazy", "lazy-ep")):
             for name, db in self.dbs.items():
                 got = list(db.rknn(query, k, method=method).points)
@@ -183,7 +185,7 @@ class UndirectedFacades(RuleBasedStateMachine):
         expected = brute_force_rknn(
             self.graph, NodePointSet(self.points), list(route), k
         )
-        for method in self._methods(k, self.capacity,
+        for method in _with_eager_m(k, self.capacity,
                                     ("eager", "lazy", "lazy-ep")):
             for name, db in self.dbs.items():
                 got = list(db.continuous_rknn(route, k, method=method).points)
@@ -197,7 +199,7 @@ class UndirectedFacades(RuleBasedStateMachine):
             self.graph, NodePointSet(self.points),
             NodePointSet(self.reference), query, k,
         )
-        for method in self._methods(k, self.ref_capacity, ("eager", "lazy")):
+        for method in _with_eager_m(k, self.ref_capacity, ("eager", "lazy")):
             for name, db in self.dbs.items():
                 got = list(db.bichromatic_rknn(query, k, method=method).points)
                 assert got == expected, (name, method, query, k)

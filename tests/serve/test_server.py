@@ -210,6 +210,19 @@ class TestMutationsAndGenerations:
                 response = client.insert(501, taken)
         assert response["status"] == "error"
 
+    def test_out_of_range_insert_is_a_clean_error(self, inputs):
+        graph, placement = inputs
+        compact = build_db("compact", graph, placement)
+        reference = build_db("compact", graph, placement)
+        with serve_in_thread(compact) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                response = client.insert(501, graph.num_nodes + 10)
+                after = client.rknn(5, k=2)
+        assert response["status"] == "error"
+        assert "unknown node" in response["error"]
+        assert after["delta_epoch"] == 0
+        assert after["points"] == list(reference.rknn(5, 2).points)
+
 
 class TestSubscriptions:
     def test_membership_events_are_pushed(self, db, inputs):

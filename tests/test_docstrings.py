@@ -14,11 +14,16 @@ sys.path.insert(0, str(ROOT / "tools"))
 import check_docstrings  # noqa: E402
 
 TARGETS = [
+    str(ROOT / "src" / "repro" / "facade.py"),
     str(ROOT / "src" / "repro" / "api.py"),
     str(ROOT / "src" / "repro" / "api_directed.py"),
     str(ROOT / "src" / "repro" / "shard"),
     str(ROOT / "src" / "repro" / "compact"),
     str(ROOT / "src" / "repro" / "oracle"),
+    str(ROOT / "src" / "repro" / "serve"),
+    str(ROOT / "src" / "repro" / "engine"),
+    str(ROOT / "src" / "repro" / "qlang"),
+    str(ROOT / "src" / "repro" / "obs"),
 ]
 
 
