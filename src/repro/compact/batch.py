@@ -4,14 +4,18 @@ The scalar paper algorithms answer one query at a time through Python
 heap loops.  This module answers a whole *batch* of monochromatic
 RkNN / continuous-RkNN queries in one numpy pass over the CSR arrays:
 
-1. **Candidate rows.**  Every data point is one row of a dense
-   ``(P, |V|)`` distance table.  All P single-source expansions run
+1. **Candidate rows.**  Every data point is one row of a
+   ``(P, |V|)`` label table.  All P single-source expansions run
    together as a *bucketed* Dijkstra: per round, every frontier entry
    whose tentative distance lies below ``row_min + min_edge_weight``
    is final (no shorter path can still reach it, since every further
    relaxation adds at least the minimum edge weight to a label that is
    at least ``row_min``), so the whole bucket settles at once and the
    relaxation of all settled entries is one vectorized scatter-min.
+   A round touches only its frontier -- a flat array of the queued
+   ``row * |V| + node`` ids -- and the edges it relaxes, never the
+   whole table; the label table and its settled / queued flag tables
+   are the only per-batch allocations of that size.
 2. **Adaptive bound.**  A row stops expanding once its ``m``-th
    nearest competitor settles, where ``m = max(k_b + |exclude_b|)``
    over the queries the row is still a candidate for -- the same
@@ -59,6 +63,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.numeric import EPS
+from repro.oracle.bounds import LowerOnlyBounds
 from repro.oracle.prune import scan_is_profitable
 from repro.storage.stats import CostTracker
 
@@ -192,7 +197,9 @@ def batch_rknn_kernel(
         Optional :class:`~repro.oracle.oracle.DistanceOracle`; consulted
         for row pre-filtering only when
         :func:`~repro.oracle.prune.scan_is_profitable` says the scan
-        pays for itself.
+        pays for itself, and never in the degraded
+        :class:`~repro.oracle.bounds.LowerOnlyBounds` form, whose
+        labels no longer give upper bounds.
 
     Returns
     -------
@@ -222,8 +229,11 @@ def batch_rknn_kernel(
             rows = [r for r, pid in enumerate(pids) if pid in request.exclude]
             if rows:
                 eligible[rows, b] = False
-    if oracle is not None and scan_is_profitable(
-            num_points, oracle.num_landmarks, num_nodes):
+    # the row filter sums labels into competitor upper bounds, which a
+    # lower-only oracle (its labels predate an edge deletion) lacks
+    if (oracle is not None and not isinstance(oracle, LowerOnlyBounds)
+            and scan_is_profitable(num_points, oracle.num_landmarks,
+                                   num_nodes)):
         _oracle_row_filter(oracle, pnodes, pids, requests, eligible, charges)
 
     # per-row expansion budget: settle the m nearest competitors, with
@@ -232,31 +242,48 @@ def batch_rknn_kernel(
                        for request in requests], dtype=np.int64)
     m_rows = np.where(eligible, needed[None, :], 0).max(axis=1)
 
+    # the label table and its flags, addressed by flat ``row * |V| +
+    # node`` ids; the frontier lists the ids of unsettled labels that
+    # may still decide a membership, and ``queued`` flags its members
+    # so a relaxation appends each id at most once
     dist = np.full((num_points, num_nodes), np.inf)
-    settled = np.zeros((num_points, num_nodes), dtype=bool)
-    active = np.zeros((num_points, num_nodes), dtype=bool)
+    flat_dist = dist.reshape(-1)
+    settled = np.zeros(num_points * num_nodes, dtype=bool)
+    queued = np.zeros(num_points * num_nodes, dtype=bool)
     live = np.nonzero(m_rows > 0)[0]
-    dist[live, pnodes[live]] = 0.0
-    active[live, pnodes[live]] = True
+    frontier = live * num_nodes + pnodes[live]
+    flat_dist[frontier] = 0.0
+    queued[frontier] = True
     bound = np.full(num_points, np.inf)
     competitor_count = np.zeros(num_points, dtype=np.int64)
     min_weight = float(weights.min()) if weights.size else np.inf
 
     totals = {name: 0 for name in _SHARED_FIELDS}
-    flat_dist = dist.reshape(-1)
-    flat_active = active.reshape(-1)
     while True:
-        frontier = np.where(active & (dist <= bound[:, None]), dist, np.inf)
-        row_min = frontier.min(axis=1)
-        if not np.isfinite(row_min).any():
+        rows = frontier // num_nodes
+        labels = flat_dist[frontier]
+        # a label beyond its row's bound can never decide a membership;
+        # it leaves the frontier until a relaxation brings it within
+        beyond = labels > bound[rows]
+        if beyond.any():
+            queued[frontier[beyond]] = False
+            within = ~beyond
+            frontier, rows = frontier[within], rows[within]
+            labels = labels[within]
+        if frontier.size == 0:
             break
-        # one bucket per row: entries below row_min + min_weight are
+        row_min = np.full(num_points, np.inf)
+        np.minimum.at(row_min, rows, labels)
+        # one bucket per row: labels below row_min + min_weight are
         # final -- any future relaxation lands at or above that line
-        process = frontier < (row_min + min_weight)[:, None]
-        rows_idx, nodes_idx = np.nonzero(process)
-        settled[rows_idx, nodes_idx] = True
-        active[rows_idx, nodes_idx] = False
-        source_dist = dist[rows_idx, nodes_idx]
+        process = labels < (row_min + min_weight)[rows]
+        picked = frontier[process]
+        rows_idx = rows[process]
+        nodes_idx = picked % num_nodes
+        source_dist = labels[process]
+        frontier = frontier[~process]
+        queued[picked] = False
+        settled[picked] = True
 
         increments = (pts_on_node[nodes_idx]
                       - (nodes_idx == pnodes[rows_idx]).astype(np.int64))
@@ -279,24 +306,24 @@ def batch_rknn_kernel(
         edge_index = (np.repeat(offsets[nodes_idx], degrees)
                       + np.arange(total_edges)
                       - np.repeat(np.cumsum(degrees) - degrees, degrees))
-        heads = targets[edge_index]
         candidate = np.repeat(source_dist, degrees) + weights[edge_index]
         row_rep = np.repeat(rows_idx, degrees)
+        linear = row_rep * num_nodes + targets[edge_index]
         # settled labels are final, and labels beyond the row's bound
         # can never decide a membership -- both relaxations are skipped
-        keep = (candidate <= bound[row_rep]) & ~settled[row_rep, heads]
+        keep = (candidate <= bound[row_rep]) & ~settled[linear]
         if not keep.any():
             continue
-        linear = row_rep[keep] * num_nodes + heads[keep]
-        values = candidate[keep]
-        unique, inverse = np.unique(linear, return_inverse=True)
+        unique, inverse = np.unique(linear[keep], return_inverse=True)
         best = np.full(len(unique), np.inf)
-        np.minimum.at(best, inverse, values)
+        np.minimum.at(best, inverse, candidate[keep])
         improved = best < flat_dist[unique]
         winners = unique[improved]
         flat_dist[winners] = best[improved]
-        flat_active[winners] = True
-        totals["heap_pushes"] += int(improved.sum())
+        totals["heap_pushes"] += len(winners)
+        fresh = winners[~queued[winners]]
+        queued[fresh] = True
+        frontier = np.concatenate((frontier, fresh))
 
     point_labels = dist[:, pnodes]  # (P, P): d(p, x) for every pair
     diagonal = np.arange(num_points)

@@ -458,11 +458,13 @@ class QueryEngine:
         Over a compact backend with :attr:`batch_kernel` enabled, the
         specs the database's ``batch_rknn`` kernel can serve (see
         :func:`repro.engine.planner.kernel_batch_kinds`) run as one
-        vectorized pass; everything else -- and lone batchable specs,
-        which gain nothing from a one-row table -- takes the scalar
-        per-spec path.  Answers are identical either way, and the
-        caller's ``cache.put`` keying by ``(generation, spec.key())``
-        is untouched by the dispatch.
+        vectorized pass; everything else takes the scalar per-spec
+        path.  So does a lone batchable spec: the kernel expands one
+        row per data point, shared work that pays off only across
+        several specs, while a scalar query verifies just the
+        candidates its own expansion finds.  Answers are identical
+        either way, and the caller's ``cache.put`` keying by
+        ``(generation, spec.key())`` is untouched by the dispatch.
 
         With a live tracer or slow log attached, every executed spec
         gets an ``execute.<kind>`` span carrying its own counter diff;

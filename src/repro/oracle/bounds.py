@@ -95,9 +95,12 @@ class LowerOnlyBounds:
     attached oracle in this class instead of discarding it.
 
     Every other attribute delegates to the wrapped provider, so the
-    vectorized batch kernel's row filter -- which reads the landmark
-    label matrix but only ever derives *lower* bounds from it -- keeps
-    working on a degraded oracle.
+    label matrix read through this wrapper still holds the
+    pre-deletion distances, whose label sums are no longer upper
+    bounds.  The vectorized batch kernel's row filter derives its
+    competitor thresholds from exactly those sums, so the kernel skips
+    the filter under this wrapper; as with the scalar rules, whose
+    ``inf`` upper bounds never prune, answers are unchanged.
     """
 
     def __init__(self, inner: LowerBoundProvider):

@@ -187,6 +187,26 @@ def test_engine_dispatch_rules(undirected):
     assert _points_of(solo.results) == baseline[:1]
 
 
+@pytest.mark.parametrize("landmarks", [2, 3, 4])
+def test_oracle_degraded_by_edge_deletion_keeps_batch_answers(landmarks):
+    """After delete_edge + compact the oracle survives lower-only; its
+    stale labels must not feed the kernel's upper-bound row filter."""
+    path = [(i, i + 1, 1.0) for i in range(10)]
+    points = {1: 0, 2: 10}
+    db = CompactDatabase.from_edges(path + [(0, 10, 1.0)],
+                                    NodePointSet(points))
+    db.build_oracle(landmarks)
+    db.delete_edge(0, 10)
+    db.compact()
+    specs = _specs((3, 7), k=1)
+    rebuilt = CompactDatabase.from_edges(path, NodePointSet(points))
+    expected = [rebuilt.rknn(s.query, s.k).points for s in specs]
+    assert expected == [(1, 2), (1, 2)]
+    assert _points_of(db.batch_rknn(specs)) == expected
+    assert _points_of(db.engine().run_batch(specs).results) == expected
+    assert [db.rknn(s.query, s.k).points for s in specs] == expected
+
+
 def test_kernel_batch_kinds_advertisement(undirected):
     graph, points = undirected
     from repro import GraphDatabase

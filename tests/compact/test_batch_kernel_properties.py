@@ -18,6 +18,10 @@ the kernel's amortization regime (batches of >= 5 queries, where the
 shared candidate table pays for itself), the batched
 ``edges_expanded`` total must not exceed the sum of the same specs
 run scalar one by one.
+
+**Same buckets.**  The kernel's frontier loop must settle exactly the
+buckets of the dense loop kept in ``dense_kernel_reference.py``: the
+same answers and, field by field, the same charge for every request.
 """
 
 import heapq
@@ -26,8 +30,19 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import CompactDatabase, NodePointSet, QuerySpec
-from repro.compact.batch import numpy_available
+from repro import (
+    CompactDatabase,
+    CompactDirectedDatabase,
+    NodePointSet,
+    QuerySpec,
+)
+from repro.compact.batch import (
+    BatchRequest,
+    batch_rknn_kernel,
+    numpy_available,
+)
+from repro.graph.digraph import DiGraph
+from tests.compact.dense_kernel_reference import dense_batch_rknn_kernel
 from tests.conftest import build_random_graph
 
 SETTINGS = dict(
@@ -192,6 +207,62 @@ def test_batched_edges_within_scalar_sum(case):
         f"seed={seed}: batched edges_expanded {batch_edges} exceeds "
         f"the scalar sum {scalar_edges}"
     )
+
+
+def _route(graph, start, rng, hops):
+    """A walk of up to ``hops`` edges from ``start`` (a continuous query)."""
+    route = [start]
+    for _ in range(hops):
+        route.append(rng.choice(
+            [nbr for nbr, _ in graph.neighbors(route[-1])]))
+    return tuple(route)
+
+
+def _orient(graph, rng):
+    """A directed network over ``graph``'s edges: each edge becomes one
+    arc or two, with the reverse arc's weight redrawn."""
+    arcs = []
+    for u, v, w in graph.edges():
+        arcs.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
+        if rng.random() < 0.5:
+            arcs.append((arcs[-1][1], arcs[-1][0], float(rng.randint(1, 9))))
+    return DiGraph.from_arcs(arcs, num_nodes=graph.num_nodes)
+
+
+def _assert_matches_dense(flat, num_nodes, items, requests, oracle, label):
+    answers, charges = batch_rknn_kernel(flat, num_nodes, items, requests,
+                                         oracle=oracle)
+    want_answers, want_charges = dense_batch_rknn_kernel(
+        flat, num_nodes, items, requests, oracle=oracle)
+    assert answers == want_answers, f"{label}: answers diverge"
+    assert [vars(c) for c in charges] == [vars(c) for c in want_charges], (
+        f"{label}: per-request charges diverge from the dense loop"
+    )
+
+
+@given(case=batch_cases(), landmarks=st.integers(min_value=0, max_value=3))
+@settings(**SETTINGS)
+def test_kernel_matches_dense_loop_exactly(case, landmarks):
+    """Point queries (oracle on and off), continuous routes and a
+    directed out-CSR batch: the frontier loop answers and charges
+    exactly like the dense loop."""
+    graph, points, specs, seed = case
+    rng = random.Random(seed)
+    items = sorted(points.items())
+    db = CompactDatabase(graph, points)
+    if landmarks:
+        db.build_oracle(landmarks, seed=seed)
+    requests = [BatchRequest((spec.query,), spec.k, spec.exclude)
+                for spec in specs]
+    routes = [BatchRequest(_route(graph, spec.query, rng, rng.randint(1, 3)),
+                           spec.k, spec.exclude) for spec in specs]
+    flat = db.store.csr.flat()
+    for batch, kind in ((requests, "rknn"), (routes, "continuous")):
+        _assert_matches_dense(flat, graph.num_nodes, items, batch, db.oracle,
+                              f"seed={seed} {kind} landmarks={landmarks}")
+    directed = CompactDirectedDatabase(_orient(graph, rng), points)
+    _assert_matches_dense(directed.store.csr.out_flat(), graph.num_nodes,
+                          items, requests, None, f"seed={seed} directed")
 
 
 def test_numpy_is_available_in_ci():

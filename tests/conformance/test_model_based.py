@@ -14,8 +14,9 @@ the in-memory graph alone and share no code with the storage stacks:
   ``knn`` and ``range_nn`` against brute force, plus one qlang script
   with ``topk_influence`` and ``aggregate_nn`` across the four.
 * :class:`CompactOverlay` appends point and edge mutations to one
-  compact database, compacts at random, and checks ``at_epoch(e)``
-  for a drawn ``e`` against brute force on the model's state at ``e``.
+  oracle-equipped compact database, compacts at random, and checks
+  ``at_epoch(e)`` for a drawn ``e`` against brute force on the model's
+  state at ``e``, and ``batch_rknn`` against brute force at the head.
 * :class:`DirectedFacades` keeps the three directed databases in
   lockstep under point inserts, deletes and ``materialize``: ``rknn``
   (eager, eager-m, naive) is checked against brute force, ``knn`` and
@@ -45,6 +46,7 @@ from repro import (
     DirectedGraphDatabase,
     GraphDatabase,
     NodePointSet,
+    QuerySpec,
     ShardedDatabase,
     ShardedDirectedDatabase,
 )
@@ -258,6 +260,7 @@ class CompactOverlay(RuleBasedStateMachine):
         }
         self.next_pid = 100
         self.db = CompactDatabase(graph, NodePointSet(self.points))
+        self.db.build_oracle(3, seed=seed)
         self.history = [self._state()]
 
     def _state(self):
@@ -332,6 +335,17 @@ class CompactOverlay(RuleBasedStateMachine):
         assert session.stamp == (self.db.stamp[0], epoch)
         got = list(session.rknn(query, k, method=method).points)
         assert got == expected, (epoch, method, query, k)
+
+    @rule(queries=st.lists(st.tuples(PICKS, KS), min_size=2, max_size=4))
+    def batch_rknn_matches_brute_force(self, queries):
+        graph = Graph(self.num_nodes,
+                      [(u, v, w) for (u, v), w in self.edges.items()])
+        specs = [QuerySpec("rknn", query=pick % self.num_nodes, k=k)
+                 for pick, k in queries]
+        for spec, result in zip(specs, self.db.batch_rknn(specs)):
+            expected = brute_force_rknn(graph, NodePointSet(self.points),
+                                        spec.query, spec.k)
+            assert list(result.points) == expected, (spec.query, spec.k)
 
 
 class DirectedFacades(RuleBasedStateMachine):
