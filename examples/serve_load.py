@@ -8,9 +8,8 @@ fleet of clients would:
 
 1. a pipelined burst of popular queries the micro-batcher coalesces
    into shared engine batches,
-2. a driver joining mid-stream — the mutation drains in-flight
-   batches, applies under the exclusive lease, and bumps the
-   generation every later response pins,
+2. a driver joining mid-stream — the mutation applies between
+   batches and bumps the generation every later response pins,
 3. a standing-query subscription receiving `join`/`leave` membership
    events pushed by the server,
 4. the `/metrics` counters a load balancer would scrape.

@@ -38,8 +38,8 @@ and I/O while answers stay bitwise identical.  The serving tier
 (:mod:`repro.serve`) exposes any backend over TCP: an asyncio server
 micro-batches JSON query requests through the engine, sheds load
 beyond its admission bound with explicit ``overloaded`` responses, and
-applies mutations behind a generation-swap protocol so no response
-ever mixes update generations.
+applies each mutation between batches, in order with the queries on
+its connection, so no response ever mixes update generations.
 
 Quickstart::
 

@@ -630,9 +630,12 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
             if folded == 0:
                 return 0
             if self.overlay.edge_op_count:
+                # the live edge table is the merged sequence the
+                # overlay view replays: base order minus deletions,
+                # insertions appended
                 graph = Graph(
                     self._base_graph.num_nodes,
-                    self._merged_edges(),
+                    [(u, v, w) for (u, v), w in self._edge_weights().items()],
                     coords=self._base_graph.coords,
                 )
                 self.graph = graph
@@ -650,24 +653,6 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
 
         folded, diff = self._measure(run)
         return UpdateResult(folded, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _merged_edges(self) -> list[tuple[int, int, float]]:
-        """The head edge sequence: base order with the log replayed.
-
-        A deletion removes its edge; a (re)insertion appends at the
-        end -- exactly the order :class:`OverlayGraphStore` replays
-        per node, so the rebuilt adjacency matches the overlay view.
-        """
-        merged = {
-            edge_key(u, v): (u, v, w) for u, v, w in self._base_graph.edges()
-        }
-        for op in self.overlay.edge_ops_at(self.overlay.epoch):
-            key = edge_key(op.u, op.v)
-            if op.kind == "insert-edge":
-                merged[key] = (op.u, op.v, float(op.weight))
-            else:
-                del merged[key]
-        return list(merged.values())
 
     def _edge_weights(self) -> dict[tuple[int, int], float]:
         """The live (head) edge table, built lazily on first edge mutation."""

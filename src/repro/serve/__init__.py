@@ -5,8 +5,12 @@ The serving tier turns any facade database into a network service:
 * :class:`~repro.serve.server.RknnServer` -- the asyncio server:
   JSON-lines protocol over TCP, micro-batched execution through the
   :class:`~repro.engine.engine.QueryEngine`, bounded admission with
-  explicit ``overloaded`` shedding, generation-swap safe mutations,
-  standing-query event push, ``/metrics`` and ``/healthz``;
+  explicit ``overloaded`` shedding, writes kept in order per
+  connection, standing-query event push, ``/metrics`` and
+  ``/healthz``;
+* :func:`~repro.serve.server.execute` -- the one function executing
+  every batch, write and compaction, under both the single-process
+  server and the fleet's worker processes;
 * :class:`~repro.serve.batcher.MicroBatcher` -- the coalescing
   admission queue;
 * :class:`~repro.serve.client.ServeClient` -- the blocking client used
@@ -30,7 +34,6 @@ from repro.serve.server import (
     DEFAULT_MAX_QUEUE,
     DEFAULT_WINDOW,
     ConnectionServer,
-    GenerationGate,
     RknnServer,
     ServerHandle,
     serve_in_thread,
@@ -43,7 +46,6 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "DEFAULT_WINDOW",
     "FleetServer",
-    "GenerationGate",
     "MicroBatcher",
     "QueueFull",
     "RknnServer",

@@ -17,8 +17,7 @@ retry signal for unbounded queueing latency.
 
 The batcher is a single-consumer design: one long-lived worker task
 drains the admission queue, so batches execute strictly one after
-another and the server's generation gate only ever arbitrates between
-*one* reader (the running batch) and the mutation stream.
+another.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class MicroBatcher:
     runner:
         Async callable executing one batch: takes a list of specs,
         returns an index-aligned list of outcomes (the server supplies
-        the generation-pinned engine call).
+        one executor step, the fleet one worker round trip).
     window:
         Coalescing window in seconds.  The first request of a batch
         starts the timer; the batch flushes when it expires (or fills).
@@ -143,12 +142,11 @@ class MicroBatcher:
     async def fence(self) -> None:
         """Wait until every request admitted so far has been executed.
 
-        The mutation barrier: the server fences the batcher before
-        taking the exclusive generation lease, so a query admitted
-        before a mutation always executes at the pre-mutation
-        generation (the batch already in flight is the generation
-        gate's concern, not ours).  Requests admitted *after* the fence
-        simply land behind the mutation's write lease.
+        The compaction drain: the server fences the batcher before a
+        ``compact``, so every query admitted before it -- on any
+        connection -- answers at the old base, and ``/metrics`` counts
+        each fence as a drain.  Point writes never fence: each
+        connection orders its own writes after its earlier responses.
         """
         waiting = [item.future for item in self._pending]
         if waiting:

@@ -19,18 +19,20 @@ back as ready response bodies.  The per-connection drain in
 :class:`~repro.serve.server.ConnectionServer` gathers responses back
 into request order.
 
-**Fleet-wide generation safety.**  Mutations and ``compact`` requests
-are broadcast to every live worker under a router-side mutation lock,
-and the router verifies that all workers report the **same**
-post-operation stamp before acknowledging -- fleet-wide agreement on
-``(base_generation, delta_epoch)``.  Every query batch executes wholly
-inside one worker, whose single dispatch loop captures the stamp and
-the answers in the same serialized interval, so no response ever mixes
-base generations -- the same guarantee the single-process
-GenerationGate gives, held across processes.  Read-your-writes per
-connection survives too: a mutation barriers the connection's read
-loop until every worker applied it, so any later query observes the
-new stamp on whichever worker serves it.
+**Fleet-wide generation safety.**  Workers execute every request with
+:func:`~repro.serve.server.execute`, the single-process server's own
+execution path, called from their pipe loop.  Writes (``insert`` /
+``delete`` / ``compact``) are broadcast to every live worker under a
+router-side mutation lock, and the router verifies that all workers
+report the **same** post-operation stamp before acknowledging --
+fleet-wide agreement on ``(base_generation, delta_epoch)``.  Every
+query batch executes wholly inside one worker, whose pipe loop
+captures the stamp and the answers in the same serialized interval,
+so no response ever mixes base generations.  Per-connection order is
+the single-process server's too: a write starts once every earlier
+response on its connection has been written and holds the
+connection's read loop until every worker applied it, so any later
+query observes the new stamp on whichever worker serves it.
 
 **Fault handling.**  A worker death is detected at the pipe (EOF /
 broken pipe).  In-flight and future batches for the dead worker are
@@ -63,6 +65,7 @@ from repro.serve.server import (
     DEFAULT_WINDOW,
     ConnectionServer,
     ServerHandle,
+    execute,
 )
 
 #: The fleet router's logger (a child of ``repro.serve``, so the CLI's
@@ -76,80 +79,6 @@ DEFAULT_START_TIMEOUT = 120.0
 
 class WorkerDied(ReproError):
     """The control pipe to a worker process broke (crash or kill)."""
-
-
-def _dispatch(db, engine, config: dict, request: dict) -> dict:
-    """Execute one control-pipe request inside the worker process.
-
-    The worker's single dispatch loop is its serialization point:
-    a batch's stamp and answers are captured in the same interval,
-    and mutations land strictly between batches -- the per-process
-    analogue of the single-thread executor in
-    :class:`~repro.serve.server.RknnServer`.
-    """
-    kind = request["kind"]
-    if kind == "batch":
-        generation = db.generation
-        stamp = db.stamp
-        specs = request["specs"]
-        if request.get("trace"):
-            # traced/EXPLAIN batches run under a worker-local tracer;
-            # the span tree rides home over the pipe in each body
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer()
-            outcome = engine.run_batch(
-                specs, workers=config.get("engine_workers", 1),
-                tracer=tracer,
-            )
-            bodies = [
-                protocol.result_payload(result, generation, stamp)
-                for result in outcome.results
-            ]
-            trace_payload = tracer.to_payload()
-            for body in bodies:
-                body["trace"] = trace_payload
-            if request.get("explain"):
-                from repro.qlang.api import build_plan
-
-                for body, spec in zip(bodies, specs):
-                    body["explain"] = True
-                    body["plan"] = build_plan(engine, spec)
-            return {"kind": "bodies", "bodies": bodies}
-        outcome = engine.run_batch(
-            specs, workers=config.get("engine_workers", 1)
-        )
-        return {
-            "kind": "bodies",
-            "bodies": [
-                protocol.result_payload(result, generation, stamp)
-                for result in outcome.results
-            ],
-        }
-    if kind == "mutate":
-        if request["op"] == "insert":
-            outcome = db.insert_point(request["pid"], request["location"])
-        else:
-            outcome = db.delete_point(request["pid"])
-        return {
-            "kind": "applied",
-            "generation": db.generation,
-            "stamp": list(db.stamp),
-            "affected": outcome.affected_nodes,
-            "io": outcome.io,
-        }
-    if kind == "compact":
-        outcome = db.compact()
-        return {
-            "kind": "compacted",
-            "folded": outcome.affected_nodes,
-            "generation": db.generation,
-            "stamp": list(db.stamp),
-            "io": outcome.io,
-        }
-    if kind == "stop":
-        return {"kind": "stopped"}
-    return {"kind": "error", "message": f"unknown request kind {kind!r}"}
 
 
 def _worker_main(conn, snapshot_dir: str, config: dict) -> None:
@@ -181,8 +110,12 @@ def _worker_main(conn, snapshot_dir: str, config: dict) -> None:
         except (EOFError, OSError):
             # the router is gone; exit instead of lingering as an orphan
             return
+        if request.get("kind") == "stop":
+            with contextlib.suppress(OSError):
+                conn.send({"kind": "stopped"})
+            return
         try:
-            reply = _dispatch(db, engine, config, request)
+            reply = execute(db, engine, request)
         except ReproError as exc:
             reply = {"kind": "error", "message": str(exc)}
         except Exception as exc:  # never kill the loop on one bad request
@@ -191,8 +124,6 @@ def _worker_main(conn, snapshot_dir: str, config: dict) -> None:
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
-            return
-        if request.get("kind") == "stop":
             return
 
 
@@ -323,16 +254,12 @@ class FleetServer(ConnectionServer):
             "materialize": materialize,
             "oracle_landmarks": oracle_landmarks,
             "cache_entries": cache_entries,
-            "engine_workers": 1,
         }
         self._workers: list[WorkerHandle] = []
         self._batchers: list[MicroBatcher] = []
         self._mutation_lock = asyncio.Lock()
         self._stamp: tuple[int, int] = (0, 0)
         self._generation = 0
-        self.queries_served = 0
-        self.mutations_applied = 0
-        self.compactions = 0
         self.reroutes = 0
         self.registry = self._build_registry()
 
@@ -505,8 +432,7 @@ class FleetServer(ConnectionServer):
 
         return run
 
-    async def _run_worker_batch(self, index: int, specs, *,
-                                trace: bool = False, explain: bool = False):
+    async def _run_worker_batch(self, index: int, specs, **flags):
         """Ship one coalesced batch to a worker; reroute on death.
 
         The reply's bodies each carry the stamp the worker captured
@@ -514,12 +440,11 @@ class FleetServer(ConnectionServer):
         serialized interval, one stamp per response.  A worker dying
         mid-batch reroutes the whole batch to the next live worker
         (every worker holds the full snapshot and mutation history, so
-        any of them answers identically).
+        any of them answers identically).  ``flags`` are the
+        :func:`~repro.serve.server.execute` batch flags (``trace``,
+        ``explain``).
         """
-        request = {"kind": "batch", "specs": list(specs)}
-        if trace:
-            request["trace"] = True
-            request["explain"] = explain
+        request = {"kind": "batch", "specs": list(specs), **flags}
         began = time.perf_counter()
         try:
             reply = await self._workers[index].call(request)
@@ -539,16 +464,15 @@ class FleetServer(ConnectionServer):
         self.latency.observe(time.perf_counter() - began)
         return reply["bodies"]
 
-    # -- fleet-wide mutations -----------------------------------------------
+    # -- fleet-wide writes --------------------------------------------------
 
-    async def _broadcast(self, request: dict) -> dict:
-        """Apply one mutating request on every live worker; verify stamps.
+    async def _write(self, request: dict) -> dict:
+        """Apply one write request on every live worker; verify stamps.
 
         The mutation lock serializes broadcasts, so every worker
         applies the same operations in the same order.  After the
         fan-out the router asserts that all live workers report the
-        **same** post-operation stamp -- the fleet-wide extension of
-        the generation gate's invariant; divergence (a worker applying
+        **same** post-operation stamp; divergence (a worker applying
         out of order) fails loudly instead of serving mixed answers.
         A worker dying mid-broadcast just leaves the fleet (it will
         never answer again, so it cannot leak a stale generation).
@@ -583,44 +507,6 @@ class FleetServer(ConnectionServer):
             self._stamp = tuple(reply["stamp"])
             self._generation = reply["generation"]
             return reply
-
-    async def _mutate(self, op: str, payload: dict) -> dict:
-        """Broadcast one point mutation to the whole fleet."""
-        pid = int(payload["pid"])
-        location = payload.get("location")
-        if isinstance(location, list):
-            location = tuple(location)
-        reply = await self._broadcast({
-            "kind": "mutate", "op": op, "pid": pid, "location": location,
-        })
-        self.mutations_applied += 1
-        return {
-            "status": "ok",
-            "op": op,
-            "generation": reply["generation"],
-            "updated_lists": reply["affected"],
-            "io": reply["io"],
-            "base_generation": self._stamp[0],
-            "delta_epoch": self._stamp[1],
-        }
-
-    async def _compact(self) -> dict:
-        """Broadcast the fold; every worker bumps to the same new base."""
-        reply = await self._broadcast({"kind": "compact"})
-        self.compactions += 1
-        logger.info(
-            "fleet compacted %d folded operations; new stamp (%d, %d)",
-            reply["folded"], self._stamp[0], self._stamp[1],
-        )
-        return {
-            "status": "ok",
-            "op": "compact",
-            "folded": reply["folded"],
-            "generation": reply["generation"],
-            "base_generation": self._stamp[0],
-            "delta_epoch": self._stamp[1],
-            "io": reply["io"],
-        }
 
     async def _subscribe(self, payload: dict, writer) -> dict:
         """Standing queries need one live database; refuse cleanly."""

@@ -146,14 +146,21 @@ def result_payload(result, generation: int,
     call at the same generation.  ``stamp`` (delta-overlay backends)
     adds the ``base_generation`` / ``delta_epoch`` snapshot fields.
     """
-    body: dict = {"status": "ok", "generation": generation,
-                  "io": result.io}
-    if stamp is not None:
-        body["base_generation"], body["delta_epoch"] = stamp
+    body: dict = stamped({"status": "ok", "generation": generation,
+                          "io": result.io}, stamp)
     if hasattr(result, "points"):
         body["points"] = list(result.points)
     else:
         body["neighbors"] = [[pid, dist] for pid, dist in result.neighbors]
+    return body
+
+
+def stamped(body: dict, stamp: tuple[int, int] | None) -> dict:
+    """Add a delta-overlay snapshot ``stamp`` to ``body`` as its
+    ``base_generation`` / ``delta_epoch`` fields (nothing for
+    ``None``); return ``body``."""
+    if stamp is not None:
+        body["base_generation"], body["delta_epoch"] = stamp
     return body
 
 

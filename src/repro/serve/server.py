@@ -1,35 +1,30 @@
-"""The asyncio RkNN server: admission, batching, generation swap.
+"""The asyncio RkNN server and the request path both serve fronts share.
 
 :class:`RknnServer` turns any facade database -- disk, sharded,
 compact, oracle attached or not -- into a network service.  One
 asyncio event loop owns every connection; queries are admitted into a
-:class:`~repro.serve.batcher.MicroBatcher` and executed as engine
-batches on a worker thread, so the loop never blocks on query work.
+:class:`~repro.serve.batcher.MicroBatcher`, and each coalesced batch,
+write and subscription runs as one step of a single-thread executor,
+so the loop never blocks on query work.
 
-**Generation swap (disk / sharded backends).**  Mutations (``insert``
-/ ``delete`` requests) and query batches are arbitrated by a
-writer-preferring :class:`GenerationGate`: a batch runs under a *read
-lease* pinning the database's update generation for its whole
-execution, while a mutation waits for in-flight batches to drain,
-applies under an exclusive lease, and bumps the generation.  Batches
-admitted after the mutation run against the new generation.  No
-response ever mixes generations, and every response carries the
-generation it was computed at, so a client can replay the mutation
+**One execution path.**  :func:`execute` runs every ``batch`` (trace
+and ``EXPLAIN`` bodies included), ``mutate`` and ``compact`` request:
+here on the executor, in each :mod:`~repro.serve.fleet` worker from
+its pipe loop.  Either caller runs one request at a time, so a batch's
+answers and the update generation captured just before them -- plus,
+over a delta-overlay database (the compact backend), the
+``(base_generation, delta_epoch)`` snapshot stamp -- describe one
+state, and writes land strictly between batches.  Every response
+carries that generation (and stamp), so a client can replay the write
 log and verify any answer against a direct facade call.
 
-**Delta-overlay appends (compact backend).**  A database exposing a
-snapshot ``stamp`` (``(base_generation, delta_epoch)``; see
-:mod:`repro.compact.overlay`) flips the serve tier into append mode:
-``insert`` / ``delete`` requests skip the gate entirely -- the write
-is an append to the overlay log, readers keep the immutable state
-they pinned, and the single-thread executor (which already serializes
-batches and mutations) is the only ordering mechanism.  Writes never
-drain reads; the gate's exclusive lease survives solely for the
-``compact`` op (folding the log into a fresh base) and for
-subscription registration, and every gate drain is counted in
-``/metrics`` so the no-drain-on-append property is observable.  Every
-response carries the stamp it was computed at, replay-verifiable
-against a from-scratch rebuild of that snapshot.
+**Per-connection order.**  :class:`ConnectionServer` starts a write
+only after every earlier response on its connection has been written,
+and reads no later line until the write has applied: queries
+pipelined before an ``insert`` answer at the old state, queries after
+it at the new one.  A write never waits for other connections' reads;
+``compact`` alone first drains the admission queue, counted as
+``drains`` in ``/metrics``.
 
 **Backpressure.**  The admission queue is bounded; beyond capacity the
 server immediately answers ``overloaded`` instead of queueing without
@@ -37,8 +32,9 @@ bound (shed requests are counted and surfaced through ``/metrics``).
 
 **Standing queries.**  A ``subscribe`` request registers a
 :class:`~repro.streams.monitor.RnnMonitor` over the live database;
-every later mutation refreshes each subscribed monitor and pushes the
-resulting :class:`~repro.streams.monitor.MembershipEvent` diffs to the
+every later ``insert`` / ``delete`` refreshes each subscribed monitor
+in the write's own executor step and pushes the resulting
+:class:`~repro.streams.monitor.MembershipEvent` diffs to the
 subscriber as ``membership`` event lines.
 
 ``/metrics`` and ``/healthz`` answer both as protocol ops and as plain
@@ -49,13 +45,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.planner import backend_of
-from repro.engine.spec import QuerySpec
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -85,85 +81,76 @@ MAX_SUBSCRIBER_BACKLOG = 1 << 20
 MAX_RESPONSE_BACKLOG = 1 << 20
 
 
-class GenerationGate:
-    """Writer-preferring read/write arbitration for generation safety.
+def execute(db, engine, request: dict, workers: int = 1) -> dict:
+    """Execute one ``batch``, ``mutate`` or ``compact`` request on ``db``.
 
-    Query batches hold *read* leases (many at once is safe -- they only
-    read); a mutation takes the *write* lease, which waits for every
-    in-flight batch to drain and blocks new batches from starting
-    first.  Writer preference keeps the mutation from starving behind
-    a saturated query stream.
+    The one execution path of both serve fronts: :class:`RknnServer`
+    calls it on its single-thread executor, each fleet worker from its
+    pipe loop.  Either caller runs one request at a time, so a batch's
+    answers and the generation and stamp captured just before them
+    describe the same state.
+
+    A ``batch`` request (``specs``, optional ``trace`` / ``explain``
+    flags) replies ``{"kind": "bodies", "bodies", "seconds"}``: one
+    response body per spec, each carrying the batch's span tree when
+    traced and its compiled plan for ``EXPLAIN``.  A write replies
+    ``{"kind", "generation", "stamp", "affected", "io"}``.  ``stamp``
+    is ``None`` on databases without a delta overlay (disk, sharded).
+    Replies are plain picklable dicts.  A request the database rejects
+    raises :class:`~repro.errors.ReproError`.
     """
+    kind = request["kind"]
+    if kind == "batch":
+        generation, stamp = db.generation, getattr(db, "stamp", None)
+        specs = request["specs"]
+        tracer = Tracer() if request.get("trace") else None
+        outcome = engine.run_batch(specs, workers=workers, tracer=tracer)
+        bodies = [protocol.result_payload(result, generation, stamp)
+                  for result in outcome.results]
+        if tracer is not None:
+            from repro.qlang.api import build_plan
 
-    def __init__(self):
-        self._cond = asyncio.Condition()
-        self._readers = 0
-        self._writers_waiting = 0
-        self._writing = False
-        #: Exclusive leases granted so far -- i.e. how many times the
-        #: gate drained readers.  Appends on a delta-overlay backend
-        #: never touch the gate, so this stays at the compaction count
-        #: there (surfaced through ``/metrics`` as ``drains``).
-        self.drains = 0
-
-    @contextlib.asynccontextmanager
-    async def read_lease(self):
-        """Hold a shared lease: the generation cannot change inside."""
-        async with self._cond:
-            while self._writing or self._writers_waiting:
-                await self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            async with self._cond:
-                self._readers -= 1
-                self._cond.notify_all()
-
-    @contextlib.asynccontextmanager
-    async def write_lease(self):
-        """Hold the exclusive lease: every batch has drained inside."""
-        async with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writing or self._readers:
-                    await self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writing = True
-            self.drains += 1
-        try:
-            yield
-        finally:
-            async with self._cond:
-                self._writing = False
-                self._cond.notify_all()
-
-
-class _Subscription:
-    """One connection's standing-query monitor."""
-
-    def __init__(self, monitor: RnnMonitor, writer: asyncio.StreamWriter):
-        self.monitor = monitor
-        self.writer = writer
+            spans = tracer.to_payload()
+            for body, spec in zip(bodies, specs):
+                body["trace"] = spans
+                if request.get("explain"):
+                    body["explain"] = True
+                    body["plan"] = build_plan(engine, spec)
+        return {"kind": "bodies", "bodies": bodies,
+                "seconds": outcome.elapsed_seconds}
+    if kind == "mutate":
+        if request["op"] == "insert":
+            outcome = db.insert_point(request["pid"], request["location"])
+        else:
+            outcome = db.delete_point(request["pid"])
+    elif kind == "compact":
+        if not hasattr(db, "compact"):
+            raise ReproError("compact requires a delta-overlay database "
+                             "(the compact backend)")
+        outcome = db.compact()
+    else:
+        raise ReproError(f"unknown request kind {kind!r}")
+    return {"kind": kind, "generation": db.generation,
+            "stamp": getattr(db, "stamp", None),
+            "affected": outcome.affected_nodes, "io": outcome.io}
 
 
 class ConnectionServer:
-    """Lifecycle and connection plumbing shared by every serve front.
+    """Lifecycle, connections and write bodies shared by both serve fronts.
 
-    Owns the listener, the shutdown handshake, and the JSON-lines /
-    HTTP connection loops -- everything that does not depend on *how*
-    a request is executed.  Subclasses plug in the execution policy
-    through five hooks: :meth:`_admit_query` (a query's pending
-    outcome), :meth:`_mutate` / :meth:`_compact` / :meth:`_subscribe`
-    (the non-query ops), and :meth:`metrics` / :meth:`_health`
-    (introspection).  :class:`RknnServer` executes in-process;
-    :class:`~repro.serve.fleet.FleetServer` routes to worker
-    processes.
+    Owns the listener, the shutdown handshake, the JSON-lines / HTTP
+    connection loops and the ``insert`` / ``delete`` / ``compact``
+    response bodies -- everything that does not depend on *where* a
+    request executes.  Subclasses plug in :meth:`_admit_query` (a
+    query's pending body), :meth:`_write` (one write request through
+    :func:`execute`), :meth:`_subscribe`, and the introspection hooks
+    :meth:`metrics` / :meth:`metrics_text` / :meth:`_health`.
+    :class:`RknnServer` executes in-process;
+    :class:`~repro.serve.fleet.FleetServer` routes to worker processes.
     """
 
     def __init__(self):
-        self._subscriptions: dict[asyncio.StreamWriter, _Subscription] = {}
+        self._subscriptions: dict[asyncio.StreamWriter, RnnMonitor] = {}
         self._server: asyncio.AbstractServer | None = None
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -174,6 +161,9 @@ class ConnectionServer:
         self._stop_mutex = threading.Lock()
         self.address: tuple[str, int] | None = None
         self.errors = 0
+        self.queries_served = 0
+        self.mutations_applied = 0
+        self.compactions = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -236,21 +226,17 @@ class ConnectionServer:
     # -- execution hooks ----------------------------------------------------
 
     def _admit_query(self, payload: dict):
-        """Admit one ``query`` request; return its pending outcome.
+        """Admit one ``query`` request; return its pending body.
 
-        The return value is a future resolving to a response body (or
-        a ``(result, generation[, stamp])`` tuple), or a ready body
-        dict.  May raise :class:`~repro.serve.batcher.QueueFull` to
-        shed the request.
+        The return value is a future resolving to the response body,
+        or a ready body dict.  May raise
+        :class:`~repro.serve.batcher.QueueFull` to shed the request.
         """
         raise NotImplementedError
 
-    async def _mutate(self, op: str, payload: dict) -> dict:
-        """Apply one ``insert`` / ``delete``; return the response body."""
-        raise NotImplementedError
-
-    async def _compact(self) -> dict:
-        """Fold the delta log; return the response body."""
+    async def _write(self, request: dict) -> dict:
+        """Apply one ``mutate`` / ``compact`` request; return the
+        :func:`execute` reply it produced."""
         raise NotImplementedError
 
     async def _subscribe(self, payload: dict,
@@ -298,33 +284,43 @@ class ConnectionServer:
                                writer: asyncio.StreamWriter) -> None:
         """The JSON-lines loop: pipelined requests, ordered responses.
 
-        Every request is admitted *at read time* -- queries go straight
-        into the batcher (so a connection that pipelines N queries
-        coalesces them into shared batches), introspection answers
-        synchronously, and mutations/subscriptions *barrier the read
-        loop*: no later line on the connection is read until they
-        complete, so a pipelined query after an insert always observes
-        the bumped generation (per-connection read-your-writes).  A
-        per-connection drain preserves response order.
+        Every query is admitted *at read time* -- straight into a
+        batcher, so a connection that pipelines N queries coalesces
+        them into shared batches -- and introspection answers
+        synchronously.  A write or subscription is the connection's
+        barrier: it starts only once every earlier response on the
+        connection has been written, and no later line is read until
+        it completes, so queries pipelined before an ``insert`` answer
+        at the old state and queries after it at the new one
+        (per-connection read-your-writes).  A per-connection drain
+        writes responses in request order.
         """
         responses: asyncio.Queue = asyncio.Queue()
-        drain = asyncio.get_running_loop().create_task(
-            self._drain_responses(responses, writer)
-        )
+        loop = asyncio.get_running_loop()
+        drain = loop.create_task(self._drain_responses(responses, writer))
+        # whether every request admitted so far has executed: true right
+        # after a write, so back-to-back writes skip the barrier
+        settled = True
         try:
             line = first
             while line:
                 stripped = line.strip()
                 if stripped:
-                    item = self._admit(stripped, writer)
-                    await responses.put(item)
-                    pending = item[1]
-                    if isinstance(pending, asyncio.Task):
-                        # the mutation barrier; also bounds this
-                        # connection to one task in flight (its failure
-                        # reaches the client through the drain)
+                    request_id, pending = self._admit(stripped, writer)
+                    write = callable(pending)
+                    if write:
+                        if not settled:
+                            # the write barrier: the drain marks a
+                            # response done once written, so every
+                            # earlier answer is out before the write
+                            await responses.join()
+                        pending = loop.create_task(pending())
+                    await responses.put((request_id, pending))
+                    if write:
+                        # its failure reaches the client through the drain
                         with contextlib.suppress(Exception):
                             await pending
+                    settled = write
                 if (writer.transport.get_write_buffer_size()
                         > MAX_RESPONSE_BACKLOG):
                     # the client is not reading its responses: stop
@@ -341,11 +337,11 @@ class ConnectionServer:
         """Admit one request line; return ``(request id, pending)``.
 
         ``pending`` is a ready response body (admission errors, shed
-        requests, introspection), a batcher future resolving to
-        ``(result, generation)`` (queries -- the fast path: no
-        per-request task), or a task computing the body (mutations and
-        subscriptions -- the read loop awaits these before admitting
-        anything later on the connection).
+        requests, introspection), a future resolving to the body
+        (queries -- the fast path: no per-request task), or, for
+        writes and subscriptions, a callable that starts the task
+        computing the body (the read loop calls it behind the
+        connection's write barrier).
         """
         try:
             payload = protocol.decode(line)
@@ -377,10 +373,7 @@ class ConnectionServer:
             return request_id, protocol.error_payload(
                 f"unknown op {op!r}; choose one of {protocol.OPS}"
             )
-        task = asyncio.get_running_loop().create_task(
-            self._respond(payload, writer)
-        )
-        return request_id, task
+        return request_id, functools.partial(self._respond, payload, writer)
 
     async def _drain_responses(self, queue: asyncio.Queue,
                                writer: asyncio.StreamWriter) -> None:
@@ -393,17 +386,14 @@ class ConnectionServer:
                 payload = pending
             else:
                 try:
-                    outcome = await pending
-                    payload = (protocol.result_payload(*outcome)
-                               if isinstance(outcome, tuple) else outcome)
+                    payload = await pending
                 except Exception as exc:  # defensive: never kill the drain
                     payload = protocol.error_payload(str(exc))
                     self.errors += 1
-            if payload is None:
-                continue
             if request_id is not None:
                 payload["id"] = request_id
             writer.write(protocol.encode(payload))
+            queue.task_done()
             # flush once per quiet period, not per line -- unless the
             # transport buffer is backing up (client not reading)
             if (queue.empty() or writer.transport.get_write_buffer_size()
@@ -412,15 +402,33 @@ class ConnectionServer:
                     await writer.drain()
 
     async def _respond(self, payload: dict,
-                       writer: asyncio.StreamWriter) -> dict | None:
-        """Compute the response body for one mutation or subscription."""
+                       writer: asyncio.StreamWriter) -> dict:
+        """Compute the response body of one write or subscription."""
         try:
             op = payload["op"]
-            if op in ("insert", "delete"):
-                return await self._mutate(op, payload)
+            if op == "subscribe":
+                return await self._subscribe(payload, writer)
             if op == "compact":
-                return await self._compact()
-            return await self._subscribe(payload, writer)
+                reply = await self._write({"kind": "compact"})
+                self.compactions += 1
+                logger.info("compacted %d folded operations; new stamp %s",
+                            reply["affected"], reply["stamp"])
+                body = {"status": "ok", "op": op, "folded": reply["affected"]}
+            else:
+                request = {"kind": "mutate", "op": op,
+                           "pid": int(payload["pid"])}
+                if op == "insert":
+                    location = payload["location"]
+                    request["location"] = (tuple(location)
+                                           if isinstance(location, list)
+                                           else location)
+                reply = await self._write(request)
+                self.mutations_applied += 1
+                body = {"status": "ok", "op": op,
+                        "updated_lists": reply["affected"]}
+            body["generation"] = reply["generation"]
+            body["io"] = reply["io"]
+            return protocol.stamped(body, reply["stamp"])
         except ReproError as exc:
             self.errors += 1
             return protocol.error_payload(str(exc))
@@ -506,16 +514,12 @@ class RknnServer(ConnectionServer):
             self._run_batch, window=window,
             max_batch=max_batch, max_queue=max_queue,
         )
-        self._gate = GenerationGate()
-        # Delta-overlay backends expose a snapshot stamp: mutations
-        # append instead of fencing, and responses carry the stamp.
-        self._overlay = getattr(db, "stamp", None) is not None
-        # one thread: batches and mutations never share the interpreter
-        # state concurrently even if the gate were misused
+        # the serialization point: every batch, write and subscription
+        # is one step of this thread, in submission order
         self._executor = ThreadPoolExecutor(max_workers=1)
-        self.queries_served = 0
-        self.mutations_applied = 0
-        self.compactions = 0
+        #: Admission-queue drains: one per ``compact`` request, the
+        #: only op that waits for other connections' queries.
+        self.drains = 0
         self.events_pushed = 0
         self.registry = self._build_registry()
 
@@ -535,8 +539,8 @@ class RknnServer(ConnectionServer):
                          fn=lambda: self.mutations_applied)
         registry.counter("compactions", "Delta-log folds",
                          fn=lambda: self.compactions)
-        registry.counter("drains", "Generation-gate reader drains",
-                         fn=lambda: self._gate.drains)
+        registry.counter("drains", "Admission-queue drains before a compaction",
+                         fn=lambda: self.drains)
         registry.counter("errors", "Requests answered with an error",
                          fn=lambda: self.errors)
         registry.counter("events_pushed", "Membership events pushed",
@@ -572,7 +576,7 @@ class RknnServer(ConnectionServer):
                        fn=lambda: self.db.generation)
         registry.gauge("subscriptions", "Registered standing queries",
                        fn=lambda: len(self._subscriptions))
-        if self._overlay:
+        if getattr(self.db, "stamp", None) is not None:
             registry.gauge("base_generation", "Overlay base generation",
                            fn=lambda: self.db.stamp[0])
             registry.gauge("delta_epoch", "Overlay delta epoch",
@@ -590,234 +594,97 @@ class RknnServer(ConnectionServer):
         await self.batcher.close()
         self._executor.shutdown(wait=True)
 
-    # -- admission (the base class's query hook) ----------------------------
+    # -- execution ----------------------------------------------------------
+
+    async def _step(self, fn, *args):
+        """Run ``fn(*args)`` as one step of the executor thread."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, fn, *args)
 
     def _admit_query(self, payload: dict):
         """Admit a query straight into the micro-batcher (fast path).
 
         A ``trace``-flagged (or ``EXPLAIN``) request bypasses the
-        batcher and runs as its own dedicated engine batch instead, so
-        its span tree covers exactly that request -- the diagnostics
-        path, deliberately unbatched.
+        batcher and runs as its own single-spec batch, so its span
+        tree covers exactly that request -- the diagnostics path,
+        deliberately unbatched.
         """
         spec, trace, explain = protocol.request_query(payload)
         if trace:
-            return asyncio.get_running_loop().create_task(
-                self._run_traced(spec, explain)
-            )
+            return asyncio.ensure_future(self._run_traced(spec, explain))
         return self.batcher.admit(spec)
 
-    async def _run_traced(self, spec: QuerySpec, explain: bool) -> dict:
-        """Execute one spec as a dedicated traced batch; build its body.
+    async def _run_traced(self, spec, explain: bool) -> dict:
+        """One traced spec as its own batch; return its body."""
+        bodies = await self._run_batch([spec], trace=True, explain=explain)
+        return bodies[0]
 
-        Mirrors :meth:`_run_batch`'s snapshot discipline (overlay
-        backends capture the stamp on the executor thread; others hold
-        a read lease) and attaches the span tree -- plus, for
-        ``EXPLAIN``, the compiled plan -- to the response.
-        """
-        from repro.qlang.api import build_plan
-
-        loop = asyncio.get_running_loop()
-        tracer = Tracer()
-        if self._overlay:
-            def execute():
-                generation = self.db.generation
-                stamp = self.db.stamp
-                outcome = self.engine.run_batch(
-                    [spec], workers=self.workers, tracer=tracer
-                )
-                return outcome, generation, stamp
-
-            outcome, generation, stamp = await loop.run_in_executor(
-                self._executor, execute
-            )
-        else:
-            stamp = None
-            async with self._gate.read_lease():
-                generation = self.db.generation
-                outcome = await loop.run_in_executor(
-                    self._executor,
-                    lambda: self.engine.run_batch(
-                        [spec], workers=self.workers, tracer=tracer
-                    ),
-                )
-        self.queries_served += 1
-        self.latency.observe(outcome.elapsed_seconds)
-        body = protocol.result_payload(outcome.results[0], generation, stamp)
-        body["trace"] = tracer.to_payload()
-        if explain:
-            body["explain"] = True
-            body["plan"] = build_plan(self.engine, spec)
-        return body
-
-    # -- batch execution (the batcher's runner) -----------------------------
-
-    async def _run_batch(self, specs: list[QuerySpec]):
-        """Execute one coalesced batch; stamp every result's snapshot.
-
-        Disk/sharded backends run under a generation read lease (the
-        gate keeps a mutation from landing mid-batch).  Delta-overlay
-        backends need no lease: the executor task captures the stamp
-        *on the executor thread*, immediately before the engine runs,
-        so the stamp and the answers come from the same serialized
-        interval -- appends land as whole executor tasks and can never
-        interleave with a running batch.
-        """
-        loop = asyncio.get_running_loop()
-        if self._overlay:
-            def execute():
-                generation = self.db.generation
-                stamp = self.db.stamp
-                outcome = self.engine.run_batch(specs, workers=self.workers)
-                return outcome, generation, stamp
-
-            outcome, generation, stamp = await loop.run_in_executor(
-                self._executor, execute
-            )
-            self.queries_served += len(specs)
-            self.latency.observe(outcome.elapsed_seconds)
-            return [(result, generation, stamp) for result in outcome.results]
-        async with self._gate.read_lease():
-            generation = self.db.generation
-            outcome = await loop.run_in_executor(
-                self._executor,
-                lambda: self.engine.run_batch(specs, workers=self.workers),
-            )
+    async def _run_batch(self, specs, **flags) -> list[dict]:
+        """Execute one batch as one executor step; return its bodies
+        (``flags`` are the :func:`execute` batch flags)."""
+        request = {"kind": "batch", "specs": specs, **flags}
+        reply = await self._step(execute, self.db, self.engine, request,
+                                 self.workers)
         self.queries_served += len(specs)
-        self.latency.observe(outcome.elapsed_seconds)
-        return [(result, generation) for result in outcome.results]
+        self.latency.observe(reply["seconds"])
+        return reply["bodies"]
 
-    # -- mutations and the generation swap ----------------------------------
+    async def _write(self, request: dict) -> dict:
+        """Apply one write and refresh every standing query in the same
+        executor step, then push the membership events it caused.
 
-    async def _mutate(self, op: str, payload: dict) -> dict:
-        """Apply one mutation; push events.
-
-        Overlay backends **append**: no fence, no exclusive lease --
-        the write and the subscription refreshes run as one task on
-        the single-thread executor, serialized against batches but
-        never draining them, and the response carries the post-append
-        stamp.  Other backends keep the generation swap: fence, drain,
-        apply, bump.
+        ``compact`` first fences the micro-batcher, so queries admitted
+        before the fold answer at the old base (the server's one
+        drain), and refreshes nothing: compaction changes no answers.
         """
-        pid = int(payload["pid"])
-        if op == "insert":
-            location = payload["location"]
-            if isinstance(location, list):
-                location = tuple(location)
-            apply = lambda: self.db.insert_point(pid, location)  # noqa: E731
-        else:
-            apply = lambda: self.db.delete_point(pid)  # noqa: E731
-        loop = asyncio.get_running_loop()
-        if self._overlay:
-            def apply_and_refresh():
-                outcome = apply()
-                generation = self.db.generation
-                stamp = self.db.stamp
-                refreshed = [
-                    (sub, sub.monitor.refresh())
-                    for sub in list(self._subscriptions.values())
-                ]
-                return outcome, generation, stamp, refreshed
-
-            outcome, generation, stamp, refreshed = await loop.run_in_executor(
-                self._executor, apply_and_refresh
-            )
-        else:
-            stamp = None
-            # queries admitted before this mutation must run first (at
-            # the old generation); the write lease then drains the
-            # running batch
+        compact = request["kind"] == "compact"
+        if compact:
             await self.batcher.fence()
-            async with self._gate.write_lease():
-                # every in-flight batch has drained; batches admitted
-                # behind us will observe the bumped generation
-                outcome = await loop.run_in_executor(self._executor, apply)
-                generation = self.db.generation
-                refreshed = []
-                for sub in list(self._subscriptions.values()):
-                    events = await loop.run_in_executor(
-                        self._executor, sub.monitor.refresh
-                    )
-                    refreshed.append((sub, events))
-        self.mutations_applied += 1
-        for sub, events in refreshed:
+            self.drains += 1
+
+        def step():
+            reply = execute(self.db, self.engine, request)
+            monitors = [] if compact else list(self._subscriptions.items())
+            return reply, [(writer, monitor.refresh())
+                           for writer, monitor in monitors]
+
+        reply, refreshed = await self._step(step)
+        for writer, events in refreshed:
             for event in events:
-                sub.writer.write(protocol.encode(
-                    protocol.membership_payload(event, generation)
+                writer.write(protocol.encode(
+                    protocol.membership_payload(event, reply["generation"])
                 ))
                 self.events_pushed += 1
             # a subscriber that stops reading must not grow the server's
             # memory without bound: evict it once its socket buffer
             # backs up past the limit (its connection handler cleans up)
-            if (events and sub.writer.transport.get_write_buffer_size()
+            if (events and writer.transport.get_write_buffer_size()
                     > MAX_SUBSCRIBER_BACKLOG):
-                self._subscriptions.pop(sub.writer, None)
-                sub.writer.close()
-        body = {
-            "status": "ok",
-            "op": op,
-            "generation": generation,
-            "updated_lists": outcome.affected_nodes,
-            "io": outcome.io,
-        }
-        if stamp is not None:
-            body["base_generation"], body["delta_epoch"] = stamp
-        return body
-
-    async def _compact(self) -> dict:
-        """Fold the overlay log into a fresh base: the one drain point.
-
-        Admitted queries run first (fence), in-flight batches drain
-        (exclusive lease), then the fold runs on the executor and the
-        base generation bumps.  Pinned client state is unaffected --
-        compaction changes no answers -- but batches admitted behind
-        the compaction observe the fresh base stamp.
-        """
-        if not self._overlay or not hasattr(self.db, "compact"):
-            raise ReproError(
-                "compact requires a delta-overlay database "
-                "(the compact backend)"
-            )
-        loop = asyncio.get_running_loop()
-        await self.batcher.fence()
-        async with self._gate.write_lease():
-            outcome = await loop.run_in_executor(self._executor, self.db.compact)
-            generation = self.db.generation
-            stamp = self.db.stamp
-        self.compactions += 1
-        logger.info(
-            "compacted %d folded operations; new stamp (%d, %d)",
-            outcome.affected_nodes, stamp[0], stamp[1],
-        )
-        return {
-            "status": "ok",
-            "op": "compact",
-            "folded": outcome.affected_nodes,
-            "generation": generation,
-            "base_generation": stamp[0],
-            "delta_epoch": stamp[1],
-            "io": outcome.io,
-        }
+                self._subscriptions.pop(writer, None)
+                writer.close()
+        return reply
 
     async def _subscribe(self, payload: dict,
                          writer: asyncio.StreamWriter) -> dict:
         queries = {int(qid): int(node)
                    for qid, node in dict(payload["queries"]).items()}
         k = int(payload.get("k", 1))
-        loop = asyncio.get_running_loop()
-        async with self._gate.write_lease():
-            # monitor registration may materialize K-NN lists: exclusive
-            monitor = await loop.run_in_executor(
-                self._executor, lambda: RnnMonitor(self.db, queries, k=k)
-            )
-            generation = self.db.generation
-        self._subscriptions[writer] = _Subscription(monitor, writer)
+
+        def register():
+            # built, answered and registered in one step: the next
+            # write's refresh diffs against exactly these answers
+            monitor = RnnMonitor(self.db, queries, k=k)
+            self._subscriptions[writer] = monitor
+            results = {str(qid): monitor.result(qid) for qid in queries}
+            return self.db.generation, results
+
+        generation, results = await self._step(register)
         return {
             "status": "ok",
             "subscribed": sorted(queries),
             "k": k,
             "generation": generation,
-            "results": {str(qid): monitor.result(qid) for qid in queries},
+            "results": results,
         }
 
     # -- introspection ------------------------------------------------------
@@ -833,7 +700,7 @@ class RknnServer(ConnectionServer):
             "queries_served": self.queries_served,
             "mutations_applied": self.mutations_applied,
             "compactions": self.compactions,
-            "drains": self._gate.drains,
+            "drains": self.drains,
             "errors": self.errors,
             "events_pushed": self.events_pushed,
             "subscriptions": len(self._subscriptions),
@@ -853,10 +720,7 @@ class RknnServer(ConnectionServer):
             },
             "latency": self.latency.to_dict(),
         }
-        if self._overlay:
-            stamp = self.db.stamp
-            body["base_generation"], body["delta_epoch"] = stamp
-        return body
+        return protocol.stamped(body, getattr(self.db, "stamp", None))
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the registry (loop-thread only)."""
@@ -868,9 +732,7 @@ class RknnServer(ConnectionServer):
             "generation": self.db.generation,
             "backend": backend_of(self.db),
         }
-        if self._overlay:
-            body["base_generation"], body["delta_epoch"] = self.db.stamp
-        return body
+        return protocol.stamped(body, getattr(self.db, "stamp", None))
 
 
 class ServerHandle:

@@ -227,6 +227,30 @@ class TestMutations:
                 body = client.rknn(node, k=1)
                 assert body["points"] == sorted(db.rknn(node, 1).points)
 
+    def test_pipelined_writes_keep_connection_order(self, inputs):
+        """A write pipelined behind a query waits for that query's
+        answer, and a query behind the write observes it on whichever
+        worker serves it."""
+        graph, placement = inputs
+        db = build_compact(inputs)
+        target = free_nodes(graph, placement, 1)[0]
+        burst = [
+            {"op": "query", "kind": "knn", "query": target, "k": 1},
+            {"op": "insert", "pid": 500, "location": target},
+            {"op": "query", "kind": "knn", "query": target, "k": 1},
+            {"op": "delete", "pid": 500},
+            {"op": "query", "kind": "knn", "query": target, "k": 1},
+        ]
+        with fleet_in_thread(db, workers=2) as handle:
+            with client_of(handle) as client:
+                responses = client.pipeline(burst)
+        before, _, mid, _, after = responses
+        assert [r["generation"] for r in responses] == [0, 1, 1, 2, 2]
+        assert mid["neighbors"][0][0] == 500
+        direct = [[p, d] for p, d in db.knn(target, 1).neighbors]
+        assert before["neighbors"] == direct
+        assert after["neighbors"] == direct
+
     def test_compact_folds_every_worker_to_the_same_base(self, inputs):
         graph, placement = inputs
         db = build_compact(inputs)

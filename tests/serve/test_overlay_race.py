@@ -10,8 +10,8 @@ database of that snapshot.  Two global facts close the argument:
 
 * every stamp any reader observed is one the serialized write log
   actually produced (no torn or invented snapshots);
-* the gate drained exactly once per compaction -- plain writes never
-  blocked a reader.
+* the server drained exactly once per compaction -- plain writes
+  never blocked a reader.
 
 The fast tests underneath pin the protocol surface of the overlay
 mode: stamp fields on every response, the ``compact`` op, and its
@@ -203,6 +203,29 @@ class TestOverlayServeSurface:
                 metrics = client.metrics()
         assert metrics["generation"] == 2
         assert metrics["drains"] == 0
+
+    def test_pipelined_writes_keep_connection_order(self, db, inputs):
+        """A write pipelined behind a query waits for that query's
+        answer, and a query behind the write observes it."""
+        graph, placement = inputs
+        reference = build_db("compact", graph, placement)
+        target = free_nodes(graph, placement, 1)[0]
+        burst = [
+            {"op": "query", "kind": "knn", "query": target, "k": 1},
+            {"op": "insert", "pid": 500, "location": target},
+            {"op": "query", "kind": "knn", "query": target, "k": 1},
+            {"op": "delete", "pid": 500},
+            {"op": "query", "kind": "knn", "query": target, "k": 1},
+        ]
+        with serve_in_thread(db) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                responses = client.pipeline(burst)
+        before, _, mid, _, after = responses
+        assert [r["generation"] for r in responses] == [0, 1, 1, 2, 2]
+        assert mid["neighbors"][0][0] == 500
+        direct = [[p, d] for p, d in reference.knn(target, 1).neighbors]
+        assert before["neighbors"] == direct
+        assert after["neighbors"] == direct
 
     def test_compact_rejected_on_generation_swap_backends(self, inputs):
         graph, placement = inputs

@@ -10,7 +10,6 @@ from repro.api import GraphDatabase
 from repro.obs import SlowQueryLog, parse_prometheus_text
 from repro.points.points import NodePointSet
 from repro.serve import ServeClient, http_get, http_get_text, serve_in_thread
-from repro.serve.server import GenerationGate
 
 from tests.serve.conftest import a_route, build_db, build_inputs, free_nodes
 
@@ -242,6 +241,24 @@ class TestSubscriptions:
                           "query_id": 0, "point_id": 502, "kind": "join"}
         assert left["kind"] == "leave" and left["generation"] == 2
 
+    def test_membership_events_on_the_compact_backend(self, inputs):
+        graph, placement = inputs
+        compact = build_db("compact", graph, placement)
+        target = free_nodes(graph, placement, 1)[0]
+        with serve_in_thread(compact) as handle:
+            with ServeClient(handle.host, handle.port) as subscriber, \
+                    ServeClient(handle.host, handle.port) as mutator:
+                assert subscriber.subscribe({0: target}, k=1)["status"] \
+                    == "ok"
+                mutator.insert(502, target)
+                joined = subscriber.recv()
+                mutator.delete(502)
+                left = subscriber.recv()
+        assert joined == {"event": "membership", "generation": 1,
+                          "query_id": 0, "point_id": 502, "kind": "join"}
+        assert left == {"event": "membership", "generation": 2,
+                        "query_id": 0, "point_id": 502, "kind": "leave"}
+
     def test_interleaved_events_do_not_desync_pipelining(self, db, inputs):
         """Events pushed to a subscribed connection must not consume
         the response slots of requests pipelined on it."""
@@ -375,43 +392,6 @@ class TestObservability:
         assert entry["kind"] == "rknn"
         assert entry["query"] == 5
         assert entry["backend"] == "disk"
-
-
-class TestGenerationGate:
-    def test_writer_waits_for_readers_and_blocks_new_ones(self):
-        import asyncio
-
-        log = []
-
-        async def scenario():
-            gate = GenerationGate()
-            release_reader = asyncio.Event()
-
-            async def reader(name, wait):
-                async with gate.read_lease():
-                    log.append(f"{name}-in")
-                    if wait:
-                        await release_reader.wait()
-                log.append(f"{name}-out")
-
-            async def writer():
-                async with gate.write_lease():
-                    log.append("write")
-
-            first = asyncio.ensure_future(reader("r1", wait=True))
-            await asyncio.sleep(0.01)
-            write = asyncio.ensure_future(writer())
-            await asyncio.sleep(0.01)
-            second = asyncio.ensure_future(reader("r2", wait=False))
-            await asyncio.sleep(0.01)
-            # writer preference: r2 must not slip in while the writer waits
-            assert "r2-in" not in log and "write" not in log
-            release_reader.set()
-            await asyncio.gather(first, write, second)
-
-        asyncio.run(scenario())
-        assert log.index("write") > log.index("r1-out")
-        assert log.index("r2-in") > log.index("write")
 
 
 class TestConcurrentMixedWorkload:
