@@ -22,7 +22,7 @@ Run with:  python examples/logistics_routing.py
 
 import random
 
-from repro import GraphDatabase, NodePointSet
+from repro import GraphDatabase
 from repro.core.in_route import in_route_nn_ids
 from repro.datasets.spatial import generate_spatial
 from repro.datasets.workload import place_node_points

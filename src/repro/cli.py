@@ -717,7 +717,6 @@ def _serve(args: argparse.Namespace) -> int:
             window=args.window_ms / 1000.0,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
-            workers=args.workers,
             cache_entries=args.cache_size,
             slow_log=slow_log,
         )

@@ -14,6 +14,9 @@ arrays built exactly once:
 Adjacency order is preserved verbatim from the source graph, so every
 downstream algorithm (whose heap tie-breaking depends on neighbor
 order) produces results byte-identical to the disk-backed stores.
+:class:`CSRGraph` is one such triple; :class:`CSRDiGraph` holds two
+one-way triples (out-arcs and in-arcs) that read, expose numpy views
+and go to and from disk through the same code.
 
 Kernels build from an in-memory :class:`~repro.graph.graph.Graph` /
 :class:`~repro.graph.digraph.DiGraph`, or load straight from an
@@ -299,131 +302,20 @@ def _merge_arc_order(
     return arcs
 
 
-class CSRGraph:
-    """Flat-array adjacency of an undirected network.
+class _CSRTriple:
+    """One direction's adjacency: a CSR triple with memoized reads.
 
-    Build once with :meth:`from_graph` (or :meth:`from_disk_graph`),
-    then read adjacency through :meth:`neighbors`.  The arrays are the
-    storage; each node's ``(neighbor, weight)`` tuple is assembled at
-    most once and memoized, so steady-state reads are a list index --
-    no page decode, no buffer bookkeeping, no charged I/O.
+    :class:`CSRGraph` is one triple; :class:`CSRDiGraph` holds two.
     """
 
-    def __init__(self, lists: AdjacencyLists):
-        self.num_nodes = len(lists)
-        if self.num_nodes == 0:
-            raise GraphError("graph needs at least one node, got 0")
-        self.offsets, self.targets, self.weights = _build_arrays(lists)
-        self._check_symmetry(lists)
-        self.num_edges = len(self.targets) // 2
+    def __init__(self, offsets, targets, weights):
+        self.offsets = offsets
+        self.targets = targets
+        self.weights = weights
+        self.num_nodes = len(offsets) - 1
         self._memo: list[tuple[tuple[int, float], ...] | None]
         self._memo = [None] * self.num_nodes
         self._flat = None
-
-    @staticmethod
-    def _check_symmetry(lists: AdjacencyLists) -> None:
-        """Reject lists no undirected graph could produce: every entry
-        ``(v, w)`` on ``u`` must be mirrored by ``(u, w)`` on ``v``."""
-        weights: dict[tuple[int, int], float] = {}
-        for node, adjacency in enumerate(lists):
-            for nbr, weight in adjacency:
-                weights[(node, nbr)] = float(weight)
-        for (u, v), weight in weights.items():
-            if weights.get((v, u)) != weight:
-                raise GraphError(
-                    "undirected adjacency lists are not symmetric: "
-                    f"edge ({u}, {v}) has no matching mirror entry"
-                )
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Flatten an in-memory :class:`~repro.graph.graph.Graph`."""
-        return cls([graph.neighbors(v) for v in range(graph.num_nodes)])
-
-    @classmethod
-    def from_disk_graph(cls, disk) -> "CSRGraph":
-        """Load from an existing :class:`~repro.storage.disk.DiskGraph`.
-
-        Decodes every serialized page exactly once, outside the charged
-        read path (construction is not a query), and preserves the
-        on-disk adjacency order.
-        """
-        from repro.storage.page import decode_adjacency_page
-
-        lists: list[tuple[tuple[int, float], ...]] = [()] * disk.num_nodes
-        for payload in disk._pages:
-            for record in decode_adjacency_page(payload):
-                lists[record.node] = record.neighbors
-        return cls(lists)
-
-    @classmethod
-    def _from_arrays(cls, num_nodes: int, offsets, targets, weights):
-        """Adopt already-validated flat arrays without re-flattening.
-
-        The loader's entry point: the arrays came from a file this
-        module wrote (or a mapping of one), so the O(E) list
-        validation and symmetry check are skipped -- loading stays
-        constant-time regardless of graph size.
-        """
-        kernel = cls.__new__(cls)
-        kernel.num_nodes = num_nodes
-        kernel.offsets = offsets
-        kernel.targets = targets
-        kernel.weights = weights
-        kernel.num_edges = len(targets) // 2
-        kernel._memo = [None] * num_nodes
-        kernel._flat = None
-        return kernel
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the kernel to ``path`` in the flat on-disk format.
-
-        The three arrays are dumped verbatim after a 24-byte preamble,
-        so the file *is* the in-memory layout -- ``load`` round-trips
-        bitwise, with or without ``mmap``.
-        """
-        with open(os.fspath(path), "wb") as handle:
-            handle.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, _KIND_GRAPH))
-            handle.write(struct.pack("<2q", self.num_nodes, len(self.targets)))
-            handle.write(_le_bytes(self.offsets))
-            handle.write(_le_bytes(self.targets))
-            handle.write(_le_bytes(self.weights))
-
-    @classmethod
-    def load(cls, path, *, mmap: bool = False) -> "CSRGraph":
-        """Read a kernel previously written by :meth:`save`.
-
-        With ``mmap=False`` the arrays are copied into process-private
-        stdlib storage.  With ``mmap=True`` they are read-only
-        ``numpy.memmap`` views over one shared mapping of the file:
-        loading is constant-time and N processes mapping the same
-        snapshot share physical pages, which is what makes
-        ``CompactDatabase.read_clone`` zero-copy across processes.
-        """
-        path = os.fspath(path)
-        with open(path, "rb") as handle:
-            num_nodes, num_entries = _read_preamble(handle, _KIND_GRAPH, 2)
-            if num_nodes < 1 or num_entries < 0 or num_entries % 2:
-                raise GraphError("CSR file header holds impossible counts")
-            sizes = [
-                (num_nodes + 1, "<i8"),
-                (num_entries, "<i8"),
-                (num_entries, "<f8"),
-            ]
-            if mmap:
-                arrays = _mmap_views(path, _HEADER.size + 16, sizes)
-            else:
-                arrays = _load_arrays(handle, sizes)
-        offsets, targets, weights = arrays
-        if offsets[0] != 0 or offsets[num_nodes] != num_entries:
-            raise GraphError("CSR file offsets disagree with its header")
-        return cls._from_arrays(num_nodes, offsets, targets, weights)
-
-    # -- reads -----------------------------------------------------------
 
     def degree(self, node: int) -> int:
         """Neighbor count of ``node``."""
@@ -467,6 +359,142 @@ class CSRGraph:
             + self.weights.itemsize * len(self.weights)
         )
 
+
+def _write(path, kind: int, triples: Sequence[_CSRTriple]) -> None:
+    """Write ``triples`` in the on-disk format: the header, the node
+    count and one entry count per triple, then each triple's arrays
+    verbatim -- so the file *is* the in-memory layout."""
+    counts = [len(triple.targets) for triple in triples]
+    with open(os.fspath(path), "wb") as handle:
+        handle.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, kind))
+        handle.write(
+            struct.pack(f"<{1 + len(counts)}q", triples[0].num_nodes, *counts)
+        )
+        for triple in triples:
+            for arr in (triple.offsets, triple.targets, triple.weights):
+                handle.write(_le_bytes(arr))
+
+
+def _read_triples(handle, num_nodes: int, counts: Sequence[int], mmap: bool):
+    """Read one array triple per entry count from ``handle``, which
+    :func:`_read_preamble` has positioned after the counts.
+
+    With ``mmap=False`` the arrays are copied into process-private
+    stdlib storage; with ``mmap=True`` they are read-only views over
+    one shared mapping of the file (see :func:`_mmap_views`).
+    """
+    sizes = []
+    for count in counts:
+        sizes += [(num_nodes + 1, "<i8"), (count, "<i8"), (count, "<f8")]
+    if mmap:
+        arrays = _mmap_views(handle.name, handle.tell(), sizes)
+    else:
+        arrays = _load_arrays(handle, sizes)
+    triples = [arrays[i:i + 3] for i in range(0, len(arrays), 3)]
+    for (offsets, _, _), count in zip(triples, counts):
+        if offsets[0] != 0 or offsets[num_nodes] != count:
+            raise GraphError("CSR file offsets disagree with its header")
+    return triples
+
+
+def _disk_lists(disk) -> list[tuple[tuple[int, float], ...]]:
+    """Every node's list in a paged adjacency file, decoding each page
+    once outside the charged read path (construction is not a query)."""
+    from repro.storage.page import decode_adjacency_page
+
+    lists: list[tuple[tuple[int, float], ...]] = [()] * disk.num_nodes
+    for payload in disk._pages:
+        for record in decode_adjacency_page(payload):
+            lists[record.node] = record.neighbors
+    return lists
+
+
+class CSRGraph(_CSRTriple):
+    """Flat-array adjacency of an undirected network.
+
+    Build once with :meth:`from_graph` (or :meth:`from_disk_graph`),
+    then read adjacency through :meth:`neighbors`.  The arrays are the
+    storage; each node's ``(neighbor, weight)`` tuple is assembled at
+    most once and memoized, so steady-state reads are a list index --
+    no page decode, no buffer bookkeeping, no charged I/O.
+    """
+
+    def __init__(self, lists: AdjacencyLists):
+        if len(lists) == 0:
+            raise GraphError("graph needs at least one node, got 0")
+        super().__init__(*_build_arrays(lists))
+        self._check_symmetry(lists)
+
+    @staticmethod
+    def _check_symmetry(lists: AdjacencyLists) -> None:
+        """Reject lists no undirected graph could produce: every entry
+        ``(v, w)`` on ``u`` must be mirrored by ``(u, w)`` on ``v``."""
+        weights: dict[tuple[int, int], float] = {}
+        for node, adjacency in enumerate(lists):
+            for nbr, weight in adjacency:
+                weights[(node, nbr)] = float(weight)
+        for (u, v), weight in weights.items():
+            if weights.get((v, u)) != weight:
+                raise GraphError(
+                    "undirected adjacency lists are not symmetric: "
+                    f"edge ({u}, {v}) has no matching mirror entry"
+                )
+
+    @property
+    def num_edges(self) -> int:
+        """Undirected edge count (each edge fills two list entries)."""
+        return len(self.targets) // 2
+
+    # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def from_graph(cls, graph: Graph) -> "CSRGraph":
+        """Flatten an in-memory :class:`~repro.graph.graph.Graph`."""
+        return cls([graph.neighbors(v) for v in range(graph.num_nodes)])
+
+    @classmethod
+    def from_disk_graph(cls, disk) -> "CSRGraph":
+        """Load from an existing :class:`~repro.storage.disk.DiskGraph`.
+
+        Decodes every serialized page exactly once, outside the charged
+        read path (construction is not a query), and preserves the
+        on-disk adjacency order.
+        """
+        return cls(_disk_lists(disk))
+
+    # -- persistence -----------------------------------------------------
+
+    def save(self, path) -> None:
+        """Write the kernel to ``path`` in the flat on-disk format.
+
+        The three arrays are dumped verbatim after a 24-byte preamble,
+        so the file *is* the in-memory layout -- ``load`` round-trips
+        bitwise, with or without ``mmap``.
+        """
+        _write(path, _KIND_GRAPH, (self,))
+
+    @classmethod
+    def load(cls, path, *, mmap: bool = False) -> "CSRGraph":
+        """Read a kernel previously written by :meth:`save`.
+
+        With ``mmap=False`` the arrays are copied into process-private
+        stdlib storage.  With ``mmap=True`` they are read-only
+        ``numpy.memmap`` views over one shared mapping of the file:
+        loading is constant-time and N processes mapping the same
+        snapshot share physical pages, which is what makes
+        ``CompactDatabase.read_clone`` zero-copy across processes.
+        The arrays came from a file this module wrote, so the O(E)
+        list validation and symmetry check are skipped.
+        """
+        with open(os.fspath(path), "rb") as handle:
+            num_nodes, num_entries = _read_preamble(handle, _KIND_GRAPH, 2)
+            if num_nodes < 1 or num_entries < 0 or num_entries % 2:
+                raise GraphError("CSR file header holds impossible counts")
+            (arrays,) = _read_triples(handle, num_nodes, [num_entries], mmap)
+        kernel = cls.__new__(cls)
+        _CSRTriple.__init__(kernel, *arrays)
+        return kernel
+
     # -- round trip ------------------------------------------------------
 
     def to_graph(self) -> Graph:
@@ -491,24 +519,22 @@ class CSRDiGraph:
     def __init__(self, out_lists: AdjacencyLists, in_lists: AdjacencyLists):
         if len(out_lists) != len(in_lists):
             raise GraphError("out- and in-lists cover different node counts")
-        self.num_nodes = len(out_lists)
-        if self.num_nodes == 0:
+        if len(out_lists) == 0:
             raise GraphError("graph needs at least one node, got 0")
-        self._out_offsets, self._out_targets, self._out_weights = _build_arrays(
-            out_lists
-        )
-        self._in_offsets, self._in_targets, self._in_weights = _build_arrays(
-            in_lists
-        )
-        if len(self._out_targets) != len(self._in_targets):
+        self._out = _CSRTriple(*_build_arrays(out_lists))
+        self._in = _CSRTriple(*_build_arrays(in_lists))
+        if len(self._out.targets) != len(self._in.targets):
             raise GraphError("out- and in-adjacency lists disagree on arc count")
-        self.num_arcs = len(self._out_targets)
-        self._out_memo: list[tuple[tuple[int, float], ...] | None]
-        self._out_memo = [None] * self.num_nodes
-        self._in_memo: list[tuple[tuple[int, float], ...] | None]
-        self._in_memo = [None] * self.num_nodes
-        self._out_flat = None
-        self._in_flat = None
+
+    @property
+    def num_nodes(self) -> int:
+        """Node count shared by both directions."""
+        return self._out.num_nodes
+
+    @property
+    def num_arcs(self) -> int:
+        """Arc count (each arc fills one out- and one in-list entry)."""
+        return len(self._out.targets)
 
     # -- constructors ----------------------------------------------------
 
@@ -526,52 +552,13 @@ class CSRDiGraph:
         """Load from an existing
         :class:`~repro.storage.disk_directed.DiskDiGraph`, decoding each
         direction file's pages once, uncharged."""
-        from repro.storage.page import decode_adjacency_page
-
-        def decode(direction) -> list[tuple[tuple[int, float], ...]]:
-            lists: list[tuple[tuple[int, float], ...]] = [()] * disk.num_nodes
-            for payload in direction._pages:
-                for record in decode_adjacency_page(payload):
-                    lists[record.node] = record.neighbors
-            return lists
-
-        return cls(decode(disk._forward), decode(disk._backward))
-
-    @classmethod
-    def _from_arrays(cls, num_nodes: int, out_arrays, in_arrays):
-        """Adopt already-validated out/in triples without re-flattening."""
-        kernel = cls.__new__(cls)
-        kernel.num_nodes = num_nodes
-        (
-            kernel._out_offsets, kernel._out_targets, kernel._out_weights,
-        ) = out_arrays
-        kernel._in_offsets, kernel._in_targets, kernel._in_weights = in_arrays
-        kernel.num_arcs = len(kernel._out_targets)
-        kernel._out_memo = [None] * num_nodes
-        kernel._in_memo = [None] * num_nodes
-        kernel._out_flat = None
-        kernel._in_flat = None
-        return kernel
+        return cls(_disk_lists(disk._forward), _disk_lists(disk._backward))
 
     # -- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
         """Write both direction triples to ``path`` (out first, then in)."""
-        with open(os.fspath(path), "wb") as handle:
-            handle.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, _KIND_DIGRAPH))
-            handle.write(
-                struct.pack(
-                    "<3q",
-                    self.num_nodes,
-                    len(self._out_targets),
-                    len(self._in_targets),
-                )
-            )
-            for arr in (
-                self._out_offsets, self._out_targets, self._out_weights,
-                self._in_offsets, self._in_targets, self._in_weights,
-            ):
-                handle.write(_le_bytes(arr))
+        _write(path, _KIND_DIGRAPH, (self._out, self._in))
 
     @classmethod
     def load(cls, path, *, mmap: bool = False) -> "CSRDiGraph":
@@ -580,61 +567,29 @@ class CSRDiGraph:
         Same contract as :meth:`CSRGraph.load`: ``mmap=False`` copies
         into stdlib arrays, ``mmap=True`` maps read-only shared views.
         """
-        path = os.fspath(path)
-        with open(path, "rb") as handle:
+        with open(os.fspath(path), "rb") as handle:
             num_nodes, out_arcs, in_arcs = _read_preamble(
                 handle, _KIND_DIGRAPH, 3
             )
             if num_nodes < 1 or out_arcs < 0 or out_arcs != in_arcs:
                 raise GraphError("CSR file header holds impossible counts")
-            sizes = [
-                (num_nodes + 1, "<i8"),
-                (out_arcs, "<i8"),
-                (out_arcs, "<f8"),
-                (num_nodes + 1, "<i8"),
-                (in_arcs, "<i8"),
-                (in_arcs, "<f8"),
-            ]
-            if mmap:
-                arrays = _mmap_views(path, _HEADER.size + 24, sizes)
-            else:
-                arrays = _load_arrays(handle, sizes)
-        for offsets, arcs in ((arrays[0], out_arcs), (arrays[3], in_arcs)):
-            if offsets[0] != 0 or offsets[num_nodes] != arcs:
-                raise GraphError("CSR file offsets disagree with its header")
-        return cls._from_arrays(num_nodes, arrays[:3], arrays[3:])
+            out_arrays, in_arrays = _read_triples(
+                handle, num_nodes, [out_arcs, in_arcs], mmap
+            )
+        kernel = cls.__new__(cls)
+        kernel._out = _CSRTriple(*out_arrays)
+        kernel._in = _CSRTriple(*in_arrays)
+        return kernel
 
     # -- reads -----------------------------------------------------------
 
     def out_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Outgoing ``(head, weight)`` arcs of ``node``, original order."""
-        memo = self._out_memo[node]
-        if memo is None:
-            lo = int(self._out_offsets[node])
-            hi = int(self._out_offsets[node + 1])
-            memo = tuple(
-                zip(
-                    self._out_targets[lo:hi].tolist(),
-                    self._out_weights[lo:hi].tolist(),
-                )
-            )
-            self._out_memo[node] = memo
-        return memo
+        return self._out.neighbors(node)
 
     def in_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Incoming ``(tail, weight)`` arcs of ``node``, original order."""
-        memo = self._in_memo[node]
-        if memo is None:
-            lo = int(self._in_offsets[node])
-            hi = int(self._in_offsets[node + 1])
-            memo = tuple(
-                zip(
-                    self._in_targets[lo:hi].tolist(),
-                    self._in_weights[lo:hi].tolist(),
-                )
-            )
-            self._in_memo[node] = memo
-        return memo
+        return self._in.neighbors(node)
 
     def out_flat(self):
         """Numpy views of the out-arc ``(offsets, targets, weights)``.
@@ -643,11 +598,7 @@ class CSRDiGraph:
         directed batch kernel expands candidate points forward over
         these views (distances ``d(p -> .)``).
         """
-        if self._out_flat is None:
-            self._out_flat = _numpy_views(
-                self._out_offsets, self._out_targets, self._out_weights
-            )
-        return self._out_flat
+        return self._out.flat()
 
     def in_flat(self):
         """Numpy views of the in-arc ``(offsets, targets, weights)``.
@@ -655,20 +606,12 @@ class CSRDiGraph:
         Zero-copy and memoized; the backward counterpart of
         :meth:`out_flat`.
         """
-        if self._in_flat is None:
-            self._in_flat = _numpy_views(
-                self._in_offsets, self._in_targets, self._in_weights
-            )
-        return self._in_flat
+        return self._in.flat()
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the six flat arrays."""
-        arrays = (
-            self._out_offsets, self._out_targets, self._out_weights,
-            self._in_offsets, self._in_targets, self._in_weights,
-        )
-        return sum(a.itemsize * len(a) for a in arrays)
+        return self._out.nbytes + self._in.nbytes
 
     # -- round trip ------------------------------------------------------
 

@@ -39,7 +39,6 @@ from repro.compact.store import (
     MemoryKnnStore,
 )
 from repro.core.continuous import validate_route
-from repro.core.directed import directed_rknn
 from repro.core.result import OracleResult, RnnResult, UpdateResult
 from repro.errors import QueryError
 from repro.facade import DirectedFacade, UndirectedFacade
@@ -87,6 +86,85 @@ class _CompactStorage:
 
     def _knn_store(self, capacity: int, lists):
         return MemoryKnnStore(self.graph.num_nodes, capacity, lists)
+
+    def batch_rknn(self, specs) -> tuple[RnnResult, ...]:
+        """Answer a batch of RkNN specs in one vectorized CSR pass.
+
+        All candidate expansions run together as a bucketed
+        multi-source Dijkstra over numpy views of the CSR arrays (see
+        :mod:`repro.compact.batch`), with the attached landmark oracle
+        -- when profitable -- filtering whole candidate rows up front.
+        Answers are bitwise identical to looping the scalar facade
+        over the specs; each spec is validated exactly as its scalar
+        counterpart would validate it.
+
+        Parameters
+        ----------
+        specs:
+            :class:`~repro.engine.spec.QuerySpec` values of a kind in
+            :attr:`batch_kinds` (``"rknn"``, and ``"continuous"`` on
+            undirected networks).  Methods are accepted for surface
+            parity but do not change the vectorized plan (every
+            method answers identically).
+
+        Returns
+        -------
+        tuple[RnnResult, ...]
+            One result per spec, in order, each carrying its share of
+            the batch's charged cost (zero I/O; the per-query counters
+            sum to the batch total).  Without numpy, or while edge
+            deltas are pending, the batch falls back to the scalar
+            per-spec loop, answers unchanged.
+        """
+        specs = list(specs)
+        requests = []
+        for spec in specs:
+            if spec.kind not in self.batch_kinds:
+                raise QueryError(
+                    f"batch_rknn serves kinds {self.batch_kinds}, "
+                    f"got {spec.kind!r}"
+                )
+            if spec.kind == "continuous":
+                validate_route(self.view, spec.route)
+                self._check_query(spec.route[0], spec.k, spec.method)
+                sources = tuple(spec.route)
+            else:
+                self._check_query(spec.query, spec.k, spec.method)
+                sources = (spec.query,)
+            if spec.method == "eager-m":
+                mat = self._require_mat()
+                if spec.k > mat.capacity:
+                    raise QueryError(
+                        f"k={spec.k} exceeds the materialized capacity "
+                        f"K={mat.capacity}"
+                    )
+            requests.append(
+                BatchRequest(sources, spec.k, frozenset(spec.exclude))
+            )
+        if not specs:
+            return ()
+        flat = self._kernel_arrays() if numpy_available() else None
+        if flat is None:
+            return tuple(self._scalar_batch(specs))
+        # directed facades carry no landmark oracle
+        oracle = getattr(self, "oracle", None)
+        return self._batch_measure(flat, requests, oracle)
+
+    def _scalar_batch(self, specs):
+        """Per-spec scalar loop: the ``batch_rknn`` fallback."""
+        results = []
+        for spec in specs:
+            route = list(spec.route) if spec.kind == "continuous" else None
+            points, diff = self._measure(
+                lambda spec=spec, route=route: self._run_rknn(
+                    spec.query, spec.k, spec.method, spec.exclude, route
+                )
+            )
+            results.append(
+                RnnResult(tuple(points), diff.io_operations,
+                          diff.cpu_seconds, diff)
+            )
+        return results
 
     def _batch_measure(self, flat, requests, oracle):
         """Run the vectorized kernel under this facade's cost tracking.
@@ -354,7 +432,8 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         mmap:
             Map the arrays instead of copying them.
         compact_threshold:
-            Auto-compaction trigger, as in the constructor.
+            Auto-compaction trigger, as in the constructor; ``None``
+            keeps the threshold the snapshot recorded.
 
         Returns
         -------
@@ -425,84 +504,16 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
     #: Query kinds the vectorized batch kernel serves (engine dispatch).
     batch_kinds = ("rknn", "continuous")
 
-    def batch_rknn(self, specs) -> tuple[RnnResult, ...]:
-        """Answer a batch of RkNN specs in one vectorized CSR pass.
+    def _kernel_arrays(self):
+        """The CSR views the batch kernel expands over, or ``None``.
 
-        All candidate expansions run together as a bucketed
-        multi-source Dijkstra over numpy views of the CSR arrays (see
-        :mod:`repro.compact.batch`), with the attached landmark oracle
-        -- when profitable -- filtering whole candidate rows up front.
-        Answers are bitwise identical to looping the scalar facade
-        over the specs; each spec is validated exactly as its scalar
-        counterpart would validate it.
-
-        Parameters
-        ----------
-        specs:
-            :class:`~repro.engine.spec.QuerySpec` values of kind
-            ``"rknn"`` or ``"continuous"`` (see :attr:`batch_kinds`).
-            Methods are accepted for surface parity but do not change
-            the vectorized plan (every method answers identically).
-
-        Returns
-        -------
-        tuple[RnnResult, ...]
-            One result per spec, in order, each carrying its share of
-            the batch's charged cost (zero I/O; the per-query counters
-            sum to the batch total).  Without numpy the batch falls
-            back to the scalar per-spec loop, answers unchanged.
+        Pending *edge* deltas hide the store's raw CSR arrays (the
+        overlay shim has no ``csr``), so the batch falls back to the
+        scalar loop until compaction folds the log; point deltas keep
+        the kernel, since candidate placements are passed explicitly.
         """
-        specs = list(specs)
-        requests = []
-        for spec in specs:
-            if spec.kind == "rknn":
-                self._check_query(spec.query, spec.k, spec.method)
-                sources = (spec.query,)
-            elif spec.kind == "continuous":
-                validate_route(self.view, spec.route)
-                self._check_query(spec.route[0], spec.k, spec.method)
-                sources = tuple(spec.route)
-            else:
-                raise QueryError(
-                    f"batch_rknn serves kinds {self.batch_kinds}, "
-                    f"got {spec.kind!r}"
-                )
-            if spec.method == "eager-m":
-                mat = self._require_mat()
-                if spec.k > mat.capacity:
-                    raise QueryError(
-                        f"k={spec.k} exceeds the materialized capacity "
-                        f"K={mat.capacity}"
-                    )
-            requests.append(
-                BatchRequest(sources, spec.k, frozenset(spec.exclude))
-            )
-        if not specs:
-            return ()
-        # Pending *edge* deltas hide the store's raw CSR arrays (the
-        # overlay shim has no ``csr``), so the batch falls back to the
-        # scalar loop until compaction folds the log; point deltas keep
-        # the kernel, since candidate placements are passed explicitly.
         csr = getattr(self.store, "csr", None)
-        if csr is None or not numpy_available():
-            return tuple(self._scalar_batch(specs))
-        return self._batch_measure(csr.flat(), requests, self.oracle)
-
-    def _scalar_batch(self, specs):
-        """Per-spec scalar loop: the numpy-free ``batch_rknn`` fallback."""
-        results = []
-        for spec in specs:
-            route = list(spec.route) if spec.kind == "continuous" else None
-            points, diff = self._measure(
-                lambda spec=spec, route=route: self._run_rknn(
-                    spec.query, spec.k, spec.method, spec.exclude, route
-                )
-            )
-            results.append(
-                RnnResult(tuple(points), diff.io_operations,
-                          diff.cpu_seconds, diff)
-            )
-        return results
+        return None if csr is None else csr.flat()
 
     # -- edge updates and compaction ----------------------------------------
 
@@ -765,62 +776,9 @@ class CompactDirectedDatabase(_CompactStorage, DirectedFacade):
     #: Query kinds the vectorized batch kernel serves (engine dispatch).
     batch_kinds = ("rknn",)
 
-    def batch_rknn(self, specs) -> tuple[RnnResult, ...]:
-        """Answer a batch of directed RkNN specs in one vectorized pass.
-
-        Candidate points expand *forward* over the out-arc CSR views
-        (distances ``d(p -> .)``), and the membership test compares
-        ``d(p -> q)`` against the point's k-th nearest competitor --
-        the directed RkNN definition.  Answers are bitwise identical
-        to looping :meth:`rknn` over the specs.
-
-        Parameters
-        ----------
-        specs:
-            :class:`~repro.engine.spec.QuerySpec` values of kind
-            ``"rknn"`` (see :attr:`batch_kinds`).
-
-        Returns
-        -------
-        tuple[RnnResult, ...]
-            One result per spec, in order; without numpy the batch
-            falls back to the scalar per-spec loop.
-        """
-        specs = list(specs)
-        requests = []
-        for spec in specs:
-            if spec.kind != "rknn":
-                raise QueryError(
-                    f"batch_rknn serves kinds {self.batch_kinds}, "
-                    f"got {spec.kind!r}"
-                )
-            self._check_query(spec.query, spec.k, spec.method)
-            if spec.method == "eager-m" and spec.k > self.materialized.capacity:
-                raise QueryError(
-                    f"k={spec.k} exceeds the materialized capacity "
-                    f"K={self.materialized.capacity}"
-                )
-            requests.append(
-                BatchRequest((spec.query,), spec.k, frozenset(spec.exclude))
-            )
-        if not specs:
-            return ()
-        if not numpy_available():
-            return tuple(self._scalar_batch(specs))
-        return self._batch_measure(self.store.csr.out_flat(), requests, None)
-
-    def _scalar_batch(self, specs):
-        """Per-spec scalar loop: the numpy-free ``batch_rknn`` fallback."""
-        results = []
-        for spec in specs:
-            points, diff = self._measure(
-                lambda spec=spec: directed_rknn(
-                    self.view, spec.query, spec.k, spec.method,
-                    self.materialized, spec.exclude,
-                )
-            )
-            results.append(
-                RnnResult(tuple(points), diff.io_operations,
-                          diff.cpu_seconds, diff)
-            )
-        return results
+    def _kernel_arrays(self):
+        """The out-arc CSR views: candidate points expand *forward*
+        (distances ``d(p -> .)``) and the membership test compares
+        ``d(p -> q)`` against each point's k-th nearest competitor --
+        the directed RkNN definition."""
+        return self.store.csr.out_flat()

@@ -10,7 +10,8 @@ flattest format that will carry it:
   rank, raw little-endian int64;
 * ``coords.f64`` -- optional node coordinates, raw little-endian
   float64 ``x0 y0 x1 y1 ...``;
-* ``meta.json`` -- format version plus the point set.
+* ``meta.json`` -- format version, the point set and the
+  auto-compaction threshold.
 
 :func:`load_snapshot` rebuilds the database in **constant time** when
 ``mmap=True``: the CSR arrays become read-only ``numpy.memmap`` views,
@@ -120,8 +121,8 @@ def save_snapshot(db, path) -> Path:
 
     Requires a clean CSR base (no pending edge deltas -- ``compact()``
     first); pending *point* deltas are fine, the current point set is
-    what gets recorded.  The loaded database starts a fresh stamp
-    history at ``(0, 0)``.
+    what gets recorded, with ``db.compact_threshold``.  The loaded
+    database starts a fresh stamp history at ``(0, 0)``.
 
     Parameters
     ----------
@@ -158,6 +159,7 @@ def save_snapshot(db, path) -> Path:
         "num_nodes": store.num_nodes,
         "has_coords": coords is not None,
         "points": {str(pid): node for pid, node in db.points.items()},
+        "compact_threshold": db.compact_threshold,
     }
     (root / _META_FILE).write_text(json.dumps(meta, sort_keys=True))
     return root
@@ -175,7 +177,9 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
         pages shared across every process mapping the same snapshot)
         instead of copying them into private memory.
     compact_threshold:
-        Forwarded to the database (auto-compaction trigger).
+        Auto-compaction trigger of the loaded database; ``None``
+        (default) keeps the one the snapshot recorded (none for
+        snapshots that predate the record).
 
     Returns
     -------
@@ -209,5 +213,7 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
     db._init_state(CSRGraphAdapter(csr, coords=coords), points)
     db.store = CompactGraphStore(order=order, csr=csr)
     db._rebuild_view()
+    if compact_threshold is None:
+        compact_threshold = meta.get("compact_threshold")
     db._init_overlay(compact_threshold)
     return db

@@ -14,8 +14,9 @@ A storage class calls :meth:`FacadeBase._init_state`, lays out its
 storage, builds its view with ``_rebuild_view()`` and implements the
 storage hooks:
 
-* ``_view(points, edge_store)`` -- a network view over a point set
-  (default: the standard view over ``disk``);
+* ``disk`` -- the adjacency store the standard network views read:
+  paged files, the sharded store (whose reads stitch the shards'
+  lists back together) or the compact CSR store;
 * ``_paging()`` -- the buffer and packing order that K-NN lists and
   landmark labels are paged with, or ``_knn_store`` /
   ``_label_store`` overrides that keep them in memory;
@@ -225,6 +226,11 @@ class FacadeBase:
         return execute(self, statement)
 
     # -- validation -------------------------------------------------------
+
+    def _require_mat(self) -> MaterializedKNN:
+        if self.materialized is None:
+            raise QueryError("method 'eager-m' needs materialize() first")
+        return self.materialized
 
     def _check_node_point(self, pid: int, node) -> None:
         """Reject a new point off the graph's nodes, before any write."""
@@ -779,11 +785,6 @@ class UndirectedFacade(FacadeBase):
 
     # -- validation -------------------------------------------------------
 
-    def _require_mat(self) -> MaterializedKNN:
-        if self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
-        return self.materialized
-
     def _check_location(self, query) -> None:
         """Reject anything but a node id or, unrestricted, an edge location."""
         if isinstance(query, int):
@@ -875,11 +876,16 @@ class DirectedFacade(FacadeBase):
         """
         self._check_query(query, k, method)
         points, diff = self._measure(
-            lambda: directed_rknn(
-                self.view, query, k, method, self.materialized, exclude
-            )
+            lambda: self._run_rknn(query, k, method, exclude)
         )
         return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
+
+    def _run_rknn(self, query, k, method, exclude, route=None) -> list[int]:
+        """Run ``method`` for one query node (directed networks take
+        no routes: ``route`` is always ``None``)."""
+        return directed_rknn(
+            self.view, query, k, method, self.materialized, exclude
+        )
 
     def knn(
         self,
@@ -1018,5 +1024,5 @@ class DirectedFacade(FacadeBase):
         self._check_node(query)
         if not 0 <= query < self.graph.num_nodes:
             raise QueryError(f"query node {query} out of range")
-        if method == "eager-m" and self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
+        if method == "eager-m":
+            self._require_mat()

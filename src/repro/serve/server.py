@@ -81,7 +81,7 @@ MAX_SUBSCRIBER_BACKLOG = 1 << 20
 MAX_RESPONSE_BACKLOG = 1 << 20
 
 
-def execute(db, engine, request: dict, workers: int = 1) -> dict:
+def execute(db, engine, request: dict) -> dict:
     """Execute one ``batch``, ``mutate`` or ``compact`` request on ``db``.
 
     The one execution path of both serve fronts: :class:`RknnServer`
@@ -104,7 +104,7 @@ def execute(db, engine, request: dict, workers: int = 1) -> dict:
         generation, stamp = db.generation, getattr(db, "stamp", None)
         specs = request["specs"]
         tracer = Tracer() if request.get("trace") else None
-        outcome = engine.run_batch(specs, workers=workers, tracer=tracer)
+        outcome = engine.run_batch(specs, tracer=tracer)
         bodies = [protocol.result_payload(result, generation, stamp)
                   for result in outcome.results]
         if tracer is not None:
@@ -489,9 +489,6 @@ class RknnServer(ConnectionServer):
     window / max_batch / max_queue:
         Micro-batching and admission parameters (see
         :class:`~repro.serve.batcher.MicroBatcher`).
-    workers:
-        Worker sessions per engine batch (``read_clone`` pool size the
-        engine spreads each batch over).
     cache_entries:
         Result-cache capacity of the server's engine.
     slow_log:
@@ -503,13 +500,12 @@ class RknnServer(ConnectionServer):
     def __init__(self, db, *, window: float = DEFAULT_WINDOW,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_queue: int = DEFAULT_MAX_QUEUE,
-                 workers: int = 1, cache_entries: int = 4096,
+                 cache_entries: int = 4096,
                  slow_log=None):
         super().__init__()
         self.db = db
         self.engine = db.engine(cache_entries=cache_entries,
                                 slow_log=slow_log)
-        self.workers = workers
         self.batcher = MicroBatcher(
             self._run_batch, window=window,
             max_batch=max_batch, max_queue=max_queue,
@@ -623,8 +619,7 @@ class RknnServer(ConnectionServer):
         """Execute one batch as one executor step; return its bodies
         (``flags`` are the :func:`execute` batch flags)."""
         request = {"kind": "batch", "specs": specs, **flags}
-        reply = await self._step(execute, self.db, self.engine, request,
-                                 self.workers)
+        reply = await self._step(execute, self.db, self.engine, request)
         self.queries_served += len(specs)
         self.latency.observe(reply["seconds"])
         return reply["bodies"]

@@ -5,11 +5,12 @@ network is cut into ``K`` edge-disjoint shards
 (:mod:`repro.shard.partition`), each shard pages its induced subgraph
 through a private disk store, LRU buffer and cost tracker
 (:mod:`repro.shard.store`), and the cut edges are served from an
-in-memory boundary-vertex table.  The facades
-(:mod:`repro.shard.db`) run the paper's algorithms unchanged over a
-stitched view (:mod:`repro.shard.view`), so answers are identical to
-the unsharded databases while I/O decomposes into per-shard counters --
-and the batch engine routes queries to their home shards and executes
+in-memory boundary-vertex table.  The sharded store's adjacency reads
+stitch the two back into the unsharded lists, so the facades
+(:mod:`repro.shard.db`) run the paper's algorithms unchanged over the
+standard network views: answers are identical to the unsharded
+databases while I/O decomposes into per-shard counters -- and the
+batch engine routes queries to their home shards and executes
 independent shards on its worker pool.
 """
 
@@ -21,7 +22,6 @@ from repro.shard.store import (
     ShardedDiGraphStore,
     ShardedGraphStore,
 )
-from repro.shard.view import ShardedDirectedView, ShardedNetworkView
 
 __all__ = [
     "DirectedGraphShard",
@@ -30,9 +30,7 @@ __all__ = [
     "ShardedDatabase",
     "ShardedDiGraphStore",
     "ShardedDirectedDatabase",
-    "ShardedDirectedView",
     "ShardedGraphStore",
-    "ShardedNetworkView",
     "cut_digraph",
     "cut_graph",
 ]

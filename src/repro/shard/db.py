@@ -6,9 +6,10 @@ kNN, range-NN, monochromatic / continuous / bichromatic RkNN,
 materialization, point updates, batch serving) over a
 :class:`~repro.shard.store.ShardedGraphStore`.  Results are
 **identical** to the single-store database (the algorithms are reused
-verbatim over the stitched view); what changes is the storage
-topology: every adjacency read is served, buffered and charged by the
-shard owning the node.
+verbatim over the standard network view, whose store stitches each
+adjacency list back together); what changes is the storage topology:
+every adjacency read is served, buffered and charged by the shard
+owning the node.
 
 Cost accounting follows the database convention: every query returns
 the merged counter diff across the global tracker (CPU, heap traffic,
@@ -37,7 +38,6 @@ from repro.shard.store import (
     ShardedDiGraphStore,
     ShardedGraphStore,
 )
-from repro.shard.view import ShardedDirectedView, ShardedNetworkView
 from repro.storage.buffer import BufferManager
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
@@ -66,9 +66,10 @@ class _ShardedStorage:
     def disk(self):
         """The sharded store, exposed under the facade's disk slot.
 
-        The engine's admission planner only needs ``disk.page_of``;
-        the store's shard-major page ranks make the planner group
-        queries by shard first, page second.
+        The standard network views read its stitched adjacency lists,
+        and the engine's admission planner its ``page_of``: the
+        store's shard-major page ranks make the planner group queries
+        by shard first, page second.
         """
         return self.store
 
@@ -262,11 +263,6 @@ class ShardedDatabase(_ShardedStorage, UndirectedFacade):
         """
         return cls(Graph.from_edges(edges), points, **kwargs)
 
-    def _view(self, points: NodePointSet, edge_store=None):
-        return ShardedNetworkView(
-            self.store, points, self.tracker, bounds=self.oracle
-        )
-
 
 class ShardedDirectedDatabase(_ShardedStorage, DirectedFacade):
     """Sharded disk-based directed graph database answering RkNN queries.
@@ -327,6 +323,3 @@ class ShardedDirectedDatabase(_ShardedStorage, DirectedFacade):
         ShardedDirectedDatabase
         """
         return cls(DiGraph.from_arcs(arcs), points, **kwargs)
-
-    def _view(self, points: NodePointSet):
-        return ShardedDirectedView(self.store, points, self.tracker)

@@ -19,13 +19,15 @@ as ``K`` independent storage stacks.  Each :class:`GraphShard` owns
 the unsharded :class:`~repro.storage.disk.DiskGraph` would -- the
 intra-shard arcs come off the owning shard's disk and the cut arcs are
 re-interleaved at their recorded positions, byte for byte, so heap tie
-order in every downstream algorithm matches the single store.  Query
-algorithms running over the stitched view produce identical results to
-the single-store database while their I/O decomposes into per-shard
-counters.
+order in every downstream algorithm matches the single store.  The
+store is what the sharded facades expose as ``disk``: query algorithms
+running over the standard network views of it produce identical
+results to the single-store database while their I/O decomposes into
+per-shard counters.
 
 :class:`ShardedDiGraphStore` is the directed counterpart (two adjacency
-files per shard, separate out-/in- boundary tables).
+files per shard, separate out-/in- boundary tables); one stitching
+routine serves every direction.
 """
 
 from __future__ import annotations
@@ -101,6 +103,25 @@ class _ShardBase:
         """Shard-local page of ``node``'s adjacency list (free look-up)."""
         return self.disk.page_of(self._local_of[node])
 
+    def _stitched(
+        self, read, boundary: dict[int, CutArcs], node: int
+    ) -> tuple[tuple[int, float], ...]:
+        """``node``'s full list in global ids, original order.
+
+        The intra-shard part is ``read``, a charged read of one of this
+        shard's adjacency files; the cut part comes from the in-memory
+        ``boundary`` table, re-interleaved at its recorded positions so
+        the result is byte-for-byte the unsharded list.
+        """
+        intra = [
+            (self.global_ids[nbr], weight)
+            for nbr, weight in read(self._local_of[node])
+        ]
+        cut = boundary.get(node)
+        if not cut:
+            return tuple(intra)
+        return _interleave(intra, cut)
+
     def read_clone(self):
         """A read-only copy with a private cold buffer and zeroed tracker."""
         clone = copy.copy(self)
@@ -162,22 +183,8 @@ class GraphShard(_ShardBase):
         return len(self.boundary)
 
     def neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
-        """Full adjacency of ``node`` in global ids, original order.
-
-        The intra-shard part is a charged read of this shard's disk;
-        the cut part comes from the in-memory boundary table, re-
-        interleaved at its recorded positions so the result is
-        byte-for-byte the unsharded adjacency list.
-        """
-        local = self._local_of[node]
-        intra = [
-            (self.global_ids[nbr], weight)
-            for nbr, weight in self.disk.neighbors(local)
-        ]
-        cut = self.boundary.get(node)
-        if not cut:
-            return tuple(intra)
-        return _interleave(intra, cut)
+        """Full adjacency of ``node`` in global ids, original order."""
+        return self._stitched(self.disk.neighbors, self.boundary, node)
 
     def _clone_disk(self, buffer: BufferManager) -> DiskGraph:
         disk = copy.copy(self.disk)
@@ -235,27 +242,11 @@ class DirectedGraphShard(_ShardBase):
 
     def out_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Outgoing arcs of ``node`` in global ids, original order."""
-        local = self._local_of[node]
-        intra = [
-            (self.global_ids[nbr], weight)
-            for nbr, weight in self.disk.out_neighbors(local)
-        ]
-        cut = self.boundary_out.get(node)
-        if not cut:
-            return tuple(intra)
-        return _interleave(intra, cut)
+        return self._stitched(self.disk.out_neighbors, self.boundary_out, node)
 
     def in_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Incoming arcs of ``node`` in global ids, original order."""
-        local = self._local_of[node]
-        intra = [
-            (self.global_ids[nbr], weight)
-            for nbr, weight in self.disk.in_neighbors(local)
-        ]
-        cut = self.boundary_in.get(node)
-        if not cut:
-            return tuple(intra)
-        return _interleave(intra, cut)
+        return self._stitched(self.disk.in_neighbors, self.boundary_in, node)
 
     def _clone_disk(self, buffer: BufferManager) -> DiskDiGraph:
         disk = copy.copy(self.disk)

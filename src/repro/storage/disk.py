@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from repro.errors import StorageError
 from repro.graph.graph import Graph, edge_key
 from repro.graph.partition import bfs_order, partition_nodes
-from repro.points.points import EdgePointSet, NodePointSet
+from repro.points.points import EdgePointSet
 from repro.storage.buffer import BufferManager
 from repro.storage.page import (
     DEFAULT_PAGE_SIZE,
@@ -56,7 +56,10 @@ class DiskGraph:
 
     The index maps a node id to its page and data-point flag, so index
     look-ups are free; fetching the adjacency list itself goes through
-    the buffer and may fault.
+    the buffer and may fault.  ``graph`` needs only ``num_nodes``,
+    ``num_edges``, ``degree`` and ``neighbors``:
+    :class:`~repro.storage.disk_directed.DiskDiGraph` pages each
+    direction of a directed network through one.
     """
 
     FILE_TAG = "adj"
@@ -100,6 +103,7 @@ class DiskGraph:
 
     @property
     def num_pages(self) -> int:
+        """Pages in the adjacency file."""
         return len(self._pages)
 
     def page_of(self, node: int) -> int:
@@ -178,6 +182,7 @@ class EdgePointStore:
 
     @property
     def num_pages(self) -> int:
+        """Pages in the point file."""
         return len(self._pages)
 
     def points_on(self, u: int, v: int) -> tuple[tuple[int, float], ...]:
@@ -304,6 +309,7 @@ class KnnListStore:
 
     @property
     def num_pages(self) -> int:
+        """Pages in the K-NN list file."""
         return len(self._pages)
 
     def get(self, node: int) -> tuple[tuple[int, float], ...]:

@@ -3,28 +3,24 @@
 A directed network needs *two* adjacency files: the query algorithms
 expand backwards from the query over incoming arcs (ordering nodes by
 their distance **to** the query) and probe forwards over outgoing arcs
-(distances **from** a node).  Both files use the same page format and
-topology-aware packing as the undirected store and share the database's
-LRU buffer; reads from either are charged I/O.
+(distances **from** a node).  Each file is a
+:class:`~repro.storage.disk.DiskGraph` over one direction's adjacency
+lists -- the same page format and topology-aware packing as the
+undirected store -- and both read through the database's LRU buffer
+under their own file tags; reads from either are charged I/O.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 from typing import Sequence
 
 from repro.errors import StorageError
 from repro.graph.digraph import DiGraph
 from repro.storage.buffer import BufferManager
-from repro.storage.disk import _span
-from repro.storage.page import (
-    DEFAULT_PAGE_SIZE,
-    AdjacencyRecord,
-    adjacency_record_size,
-    decode_adjacency_page,
-    encode_adjacency_page,
-    pack_records,
-)
+from repro.storage.disk import DiskGraph
+from repro.storage.page import DEFAULT_PAGE_SIZE
 
 
 def weak_bfs_order(graph: DiGraph, seed: int = 0) -> list[int]:
@@ -56,58 +52,6 @@ def weak_bfs_order(graph: DiGraph, seed: int = 0) -> list[int]:
     return order
 
 
-class _DirectionFile:
-    """One paged adjacency file (forward or backward lists)."""
-
-    def __init__(
-        self,
-        tag: str,
-        lists: list[tuple[tuple[int, float], ...]],
-        order: Sequence[int],
-        buffer: BufferManager,
-        page_size: int,
-        point_nodes: frozenset[int],
-    ):
-        self.tag = tag
-        self.buffer = buffer
-        self.page_size = page_size
-        sizes = [adjacency_record_size(len(lst)) for lst in lists]
-        node_pages = pack_records(
-            [sizes[node] for node in order], page_size=page_size
-        )
-        self._pages: list[bytes] = []
-        self._spans: list[int] = []
-        self._page_of: list[int] = [-1] * len(lists)
-        for page_no, indices in enumerate(node_pages):
-            records = []
-            for index in indices:
-                node = order[index]
-                records.append(
-                    AdjacencyRecord(node, node in point_nodes, lists[node])
-                )
-                self._page_of[node] = page_no
-            payload = encode_adjacency_page(records)
-            self._pages.append(payload)
-            self._spans.append(_span(payload, page_size))
-
-    @property
-    def num_pages(self) -> int:
-        return len(self._pages)
-
-    def neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
-        page_no = self._page_of[node]
-        page = self.buffer.get(
-            (self.tag, page_no),
-            lambda: self._load(page_no),
-            span=self._spans[page_no],
-        )
-        return page[node].neighbors
-
-    def _load(self, page_no: int) -> dict[int, AdjacencyRecord]:
-        records = decode_adjacency_page(self._pages[page_no])
-        return {record.node: record for record in records}
-
-
 class DiskDiGraph:
     """Paged forward + backward adjacency files of a directed network."""
 
@@ -130,17 +74,26 @@ class DiskDiGraph:
             order = weak_bfs_order(graph)
         if sorted(order) != list(range(graph.num_nodes)):
             raise StorageError("page order must cover every node exactly once")
-        out_lists = [tuple(graph.out_neighbors(v)) for v in range(graph.num_nodes)]
-        in_lists = [tuple(graph.in_neighbors(v)) for v in range(graph.num_nodes)]
-        self._forward = _DirectionFile(
-            f"{tag}:fwd", out_lists, order, buffer, page_size, point_nodes
-        )
-        self._backward = _DirectionFile(
-            f"{tag}:rev", in_lists, order, buffer, page_size, point_nodes
-        )
+        files = []
+        for suffix, neighbors, degree in (
+            ("fwd", graph.out_neighbors, graph.out_degree),
+            ("rev", graph.in_neighbors, graph.in_degree),
+        ):
+            # the graph's own lists in one direction, paged as a
+            # DiskGraph pages an undirected graph's adjacency
+            direction = SimpleNamespace(
+                num_nodes=graph.num_nodes, num_edges=graph.num_arcs,
+                neighbors=neighbors, degree=degree,
+            )
+            disk = DiskGraph(direction, buffer, page_size=page_size,
+                             order=order, point_nodes=point_nodes)
+            disk.FILE_TAG = f"{tag}:{suffix}"  # both files share the buffer
+            files.append(disk)
+        self._forward, self._backward = files
 
     @property
     def num_pages(self) -> int:
+        """Pages in the forward and backward files together."""
         return self._forward.num_pages + self._backward.num_pages
 
     def page_of(self, node: int) -> int:
@@ -149,19 +102,14 @@ class DiskDiGraph:
         Exposed for locality-aware batch planning: queries whose nodes
         share a forward page hit the same buffer frame.
         """
-        self._check(node)
-        return self._forward._page_of[node]
+        if not 0 <= node < self.num_nodes:
+            raise StorageError(f"node {node} out of range")
+        return self._forward.page_of(node)
 
     def out_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Outgoing arcs of ``node`` (charged read of the forward file)."""
-        self._check(node)
         return self._forward.neighbors(node)
 
     def in_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Incoming arcs of ``node`` (charged read of the backward file)."""
-        self._check(node)
         return self._backward.neighbors(node)
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise StorageError(f"node {node} out of range")

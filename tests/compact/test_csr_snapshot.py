@@ -66,15 +66,54 @@ def test_digraph_roundtrip_is_bitwise_identical(digraph, mmap,
     loaded = CSRDiGraph.load(path, mmap=mmap)
     assert loaded.num_nodes == csr.num_nodes
     assert loaded.num_arcs == csr.num_arcs
-    assert list(loaded._out_offsets) == list(csr._out_offsets)
-    assert list(loaded._out_targets) == list(csr._out_targets)
-    assert list(loaded._out_weights) == list(csr._out_weights)
-    assert list(loaded._in_offsets) == list(csr._in_offsets)
-    assert list(loaded._in_targets) == list(csr._in_targets)
-    assert list(loaded._in_weights) == list(csr._in_weights)
+    for ours, theirs in zip(csr.out_flat() + csr.in_flat(),
+                            loaded.out_flat() + loaded.in_flat()):
+        assert np.array_equal(ours, theirs)
     for node in range(csr.num_nodes):
         assert loaded.out_neighbors(node) == csr.out_neighbors(node)
         assert loaded.in_neighbors(node) == csr.in_neighbors(node)
+
+
+def _golden(kind, num_nodes, *triples):
+    """The documented file layout, built independently of the writer."""
+    blob = struct.pack("<4sHH", b"RCSR", 1, kind)
+    blob += struct.pack(f"<{1 + len(triples)}q", num_nodes,
+                        *(len(targets) for _, targets, _ in triples))
+    for offsets, targets, weights in triples:
+        blob += struct.pack(f"<{len(offsets)}q", *offsets)
+        blob += struct.pack(f"<{len(targets)}q", *targets)
+        blob += struct.pack(f"<{len(weights)}d", *weights)
+    return blob
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["copy", "mmap"])
+def test_files_match_golden_bytes(tmp_path, mmap):
+    """Snapshots written by earlier versions must keep loading: the
+    writer's bytes are pinned to the format, not just to the reader."""
+    from repro.compact.csr import CSRDiGraph
+
+    graph = CSRGraph([[(1, 1.5)], [(0, 1.5), (2, 2.0)], [(1, 2.0)]])
+    graph.save(tmp_path / "g.csr")
+    assert (tmp_path / "g.csr").read_bytes() == _golden(
+        1, 3, ([0, 1, 3, 4], [1, 0, 2, 1], [1.5, 1.5, 2.0, 2.0]))
+    loaded = CSRGraph.load(tmp_path / "g.csr", mmap=mmap)
+    assert [loaded.neighbors(v) for v in range(3)] == [
+        graph.neighbors(v) for v in range(3)]
+
+    digraph = CSRDiGraph(
+        [[(1, 1.5), (2, 3.0)], [(2, 2.0)], [(0, 0.5)]],
+        [[(2, 0.5)], [(0, 1.5)], [(1, 2.0), (0, 3.0)]],
+    )
+    digraph.save(tmp_path / "g.dcsr")
+    assert (tmp_path / "g.dcsr").read_bytes() == _golden(
+        2, 3,
+        ([0, 2, 3, 4], [1, 2, 2, 0], [1.5, 3.0, 2.0, 0.5]),
+        ([0, 1, 2, 4], [2, 0, 1, 0], [0.5, 1.5, 2.0, 3.0]),
+    )
+    loaded = CSRDiGraph.load(tmp_path / "g.dcsr", mmap=mmap)
+    for v in range(3):
+        assert loaded.out_neighbors(v) == digraph.out_neighbors(v)
+        assert loaded.in_neighbors(v) == digraph.in_neighbors(v)
 
 
 def _demo_graph():
@@ -166,6 +205,23 @@ class TestSnapshotDirectory:
             db.save_snapshot(tmp_path / "snap")
         db.compact()
         db.save_snapshot(tmp_path / "snap")
+
+    def test_compact_threshold_survives_save_and_load(self, tmp_path):
+        import json
+
+        graph, points = _demo_graph()
+        db = CompactDatabase(graph, points, compact_threshold=3)
+        root = db.save_snapshot(tmp_path / "snap")
+        assert load_snapshot(root).compact_threshold == 3
+        # an explicit threshold still wins over the recorded one
+        assert load_snapshot(root, compact_threshold=5).compact_threshold == 5
+        # snapshots written before the threshold was recorded load
+        # without one
+        meta_path = root / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["compact_threshold"]
+        meta_path.write_text(json.dumps(meta))
+        assert load_snapshot(root).compact_threshold is None
 
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(GraphError, match="no snapshot"):

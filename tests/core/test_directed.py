@@ -7,7 +7,6 @@ import pytest
 from repro import DiGraph, DirectedGraphDatabase, NodePointSet, QueryError
 from repro.core.directed import (
     brute_force_directed_rknn,
-    directed_knn,
     directed_range_nn,
     directed_verify,
 )

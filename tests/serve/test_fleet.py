@@ -267,6 +267,25 @@ class TestMutations:
                 assert metrics["mutations_applied"] == 1
                 assert metrics["compactions"] == 1
 
+    def test_workers_keep_the_compact_threshold(self):
+        """Workers boot from the snapshot with the database's
+        auto-compaction threshold, so the fleet folds its delta log
+        where a single compact server would."""
+        db = CompactDatabase.from_edges(
+            [(v, v + 1, 1.0) for v in range(20)],
+            NodePointSet({0: 0}),
+            compact_threshold=2,
+        )
+        with fleet_in_thread(db, workers=2, window=0.001) as handle:
+            with client_of(handle) as client:
+                stamps = []
+                for pid, node in ((1, 5), (2, 10), (3, 15)):
+                    body = client.insert(pid, node)
+                    assert body["status"] == "ok", body
+                    stamps.append(
+                        (body["base_generation"], body["delta_epoch"]))
+        assert stamps == [(0, 1), (1, 0), (1, 1)]
+
     def test_duplicate_insert_fails_on_every_worker(self, inputs):
         _, placement = inputs
         db = build_compact(inputs)

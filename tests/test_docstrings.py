@@ -17,6 +17,7 @@ TARGETS = [
     str(ROOT / "src" / "repro" / "facade.py"),
     str(ROOT / "src" / "repro" / "api.py"),
     str(ROOT / "src" / "repro" / "api_directed.py"),
+    str(ROOT / "src" / "repro" / "storage"),
     str(ROOT / "src" / "repro" / "shard"),
     str(ROOT / "src" / "repro" / "compact"),
     str(ROOT / "src" / "repro" / "oracle"),
