@@ -1,26 +1,30 @@
-"""Online serving subsystem: asyncio RkNN server, batcher, client.
+"""Online serving subsystem: one serving front, batcher, client.
 
 The serving tier turns any facade database into a network service:
 
-* :class:`~repro.serve.server.RknnServer` -- the asyncio server:
-  JSON-lines protocol over TCP, micro-batched execution through the
-  :class:`~repro.engine.engine.QueryEngine`, bounded admission with
-  explicit ``overloaded`` shedding, writes kept in order per
-  connection, standing-query event push, ``/metrics`` and
-  ``/healthz``;
+* :class:`~repro.serve.server.ConnectionServer` -- the one serving
+  front over *lanes* (single-thread executors running requests in
+  submission order): JSON-lines protocol over TCP, micro-batched
+  execution through the :class:`~repro.engine.engine.QueryEngine`,
+  bounded admission with explicit ``overloaded`` shedding, home-lane
+  routing, writes applied in one order on every lane and per
+  connection, ``/metrics`` and ``/healthz`` in one vocabulary;
+* :class:`~repro.serve.server.RknnServer` -- the one-lane front in
+  this process, with standing-query event push;
+* :class:`~repro.serve.fleet.FleetServer` -- the multi-process
+  scale-out form: one lane per worker process over one shared mmap'd
+  snapshot (``repro serve --workers N``), with
+  :func:`~repro.serve.fleet.fleet_in_thread` as its embedding helper;
 * :func:`~repro.serve.server.execute` -- the one function executing
-  every batch, write and compaction, under both the single-process
-  server and the fleet's worker processes;
+  every batch, write and compaction, on the in-process lane and in
+  the fleet's worker processes;
 * :class:`~repro.serve.batcher.MicroBatcher` -- the coalescing
   admission queue;
 * :class:`~repro.serve.client.ServeClient` -- the blocking client used
-  by tests, benchmarks and the CI replay job;
+  by tests, benchmarks and the CI replay job (``python -m repro.serve
+  --address HOST:PORT --replay FILE``);
 * :func:`~repro.serve.server.serve_in_thread` -- run a server on a
-  background thread (the embedding tests and examples use);
-* :class:`~repro.serve.fleet.FleetServer` -- the multi-process
-  scale-out form: the same protocol, executed by N worker processes
-  over one shared mmap'd snapshot (``repro serve --workers N``), with
-  :func:`~repro.serve.fleet.fleet_in_thread` as its embedding helper.
+  background thread (the embedding tests and examples use).
 
 Start one from the command line with ``repro serve`` (see
 :mod:`repro.cli`).

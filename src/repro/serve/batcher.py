@@ -70,8 +70,8 @@ class MicroBatcher:
     ----------
     runner:
         Async callable executing one batch: takes a list of specs,
-        returns an index-aligned list of outcomes (the server supplies
-        one executor step, the fleet one worker round trip).
+        returns an index-aligned list of outcomes (the serving front
+        supplies one round trip of the batcher's lane).
     window:
         Coalescing window in seconds.  The first request of a batch
         starts the timer; the batch flushes when it expires (or fills).
@@ -140,13 +140,17 @@ class MicroBatcher:
         return await self.admit(spec)
 
     async def fence(self) -> None:
-        """Wait until every request admitted so far has been executed.
+        """Wait until every request still waiting here has executed.
 
-        The compaction drain: the server fences the batcher before a
-        ``compact``, so every query admitted before it -- on any
-        connection -- answers at the old base, and ``/metrics`` counts
-        each fence as a drain.  Point writes never fence: each
-        connection orders its own writes after its earlier responses.
+        Awaits only the requests not yet handed to the runner; a batch
+        already in flight needs no wait, because it precedes anything
+        queued after it in its lane's FIFO thread.  The compaction
+        drain: the server fences every batcher before a ``compact``,
+        so every query admitted before it -- on any connection --
+        answers at the old base, and ``/metrics`` counts each
+        compaction's fences as one drain.  Point writes never fence:
+        each connection orders its own writes after its earlier
+        responses.
         """
         waiting = [item.future for item in self._pending]
         if waiting:

@@ -6,14 +6,14 @@ issued one at a time (:meth:`request`) or pipelined
 (:meth:`pipeline`), which is what lets a single client drive the
 server's micro-batcher to full batches.
 
-The module is also the CI replay tool: ``python -m repro.serve.client
---address HOST:PORT --replay requests.jsonl`` replays a recorded
-request log against a running server and fails on any ``error``
-response::
+The module is also the CI replay tool: ``python -m repro.serve
+--address HOST:PORT --replay requests.jsonl`` (:func:`main`) replays a
+recorded request log against a running server and fails on any
+``error`` response::
 
     python -m repro generate --kind grid --nodes 100 --density 0.1 -o g.graph
     python -m repro serve g.graph --port 8750 &
-    python -m repro.serve.client --address 127.0.0.1:8750 \\
+    python -m repro.serve --address 127.0.0.1:8750 \\
         --replay benchmarks/data/serve_requests.jsonl
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import socket
-import sys
 from typing import Iterable, Sequence
 
 from repro.serve import protocol
@@ -230,7 +229,7 @@ def replay(lines: Iterable[str], host: str, port: int,
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point: replay a request log against a running server."""
     parser = argparse.ArgumentParser(
-        prog="repro.serve.client",
+        prog="repro.serve",
         description="replay a recorded request log against a repro server",
     )
     parser.add_argument("--address", required=True, metavar="HOST:PORT",
@@ -246,7 +245,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"replayed {tally['requests']} requests: {tally['ok']} ok, "
           f"{tally['overloaded']} overloaded, {tally['events']} events")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,44 +1,54 @@
-"""The asyncio RkNN server and the request path both serve fronts share.
+"""The serving front both serve modes share, and the in-process server.
 
-:class:`RknnServer` turns any facade database -- disk, sharded,
-compact, oracle attached or not -- into a network service.  One
-asyncio event loop owns every connection; queries are admitted into a
-:class:`~repro.serve.batcher.MicroBatcher`, and each coalesced batch,
-write and subscription runs as one step of a single-thread executor,
-so the loop never blocks on query work.
+:class:`ConnectionServer` is the one serving front: an asyncio event
+loop owning every connection over a list of **lanes** (:class:`Lane`),
+each one single-thread executor running ``run(request)`` in submission
+order.  :class:`RknnServer` is the one-lane case, executing over a
+facade database -- disk, sharded, compact, oracle attached or not --
+in this process; :class:`~repro.serve.fleet.FleetServer` is the N-lane
+case, each lane the pipe round trip to one worker process.  The rest
+is written once, here: admission into each lane's
+:class:`~repro.serve.batcher.MicroBatcher` with home-lane routing and
+reroute, the trace bypass, the batch runner, the write path,
+``/metrics`` and ``/healthz``.
 
 **One execution path.**  :func:`execute` runs every ``batch`` (trace
 and ``EXPLAIN`` bodies included), ``mutate`` and ``compact`` request:
-here on the executor, in each :mod:`~repro.serve.fleet` worker from
-its pipe loop.  Either caller runs one request at a time, so a batch's
-answers and the update generation captured just before them -- plus,
-over a delta-overlay database (the compact backend), the
+here on the lane's thread, in each fleet worker from its pipe loop.
+Either caller runs one request at a time, so a batch's answers and the
+update generation captured just before them -- plus, over a
+delta-overlay database (the compact backend), the
 ``(base_generation, delta_epoch)`` snapshot stamp -- describe one
 state, and writes land strictly between batches.  Every response
 carries that generation (and stamp), so a client can replay the write
 log and verify any answer against a direct facade call.
 
-**Per-connection order.**  :class:`ConnectionServer` starts a write
-only after every earlier response on its connection has been written,
-and reads no later line until the write has applied: queries
-pipelined before an ``insert`` answer at the old state, queries after
-it at the new one.  A write never waits for other connections' reads;
-``compact`` alone first drains the admission queue, counted as
-``drains`` in ``/metrics``.
+**Writes.**  A write is queued on every live lane in one synchronous
+step, then each reply is awaited in turn and the lanes must agree on
+the stamp: every lane's thread applies all writes in one order, with
+no lock.  Per connection, a write starts only after every earlier
+response on its connection has been written, and no later line is
+read until the write has applied: queries pipelined before an
+``insert`` answer at the old state, queries after it at the new one.
+A write never waits for other connections' reads; ``compact`` alone
+first fences every batcher, counted as ``drains`` in ``/metrics``.
 
-**Backpressure.**  The admission queue is bounded; beyond capacity the
-server immediately answers ``overloaded`` instead of queueing without
-bound (shed requests are counted and surfaced through ``/metrics``).
+**Backpressure.**  The admission queues are bounded; beyond capacity
+the server immediately answers ``overloaded`` instead of queueing
+without bound (shed requests are counted and surfaced through
+``/metrics``).
 
 **Standing queries.**  A ``subscribe`` request registers a
-:class:`~repro.streams.monitor.RnnMonitor` over the live database;
-every later ``insert`` / ``delete`` refreshes each subscribed monitor
-in the write's own executor step and pushes the resulting
-:class:`~repro.streams.monitor.MembershipEvent` diffs to the
+:class:`~repro.streams.monitor.RnnMonitor` over the live database
+(in-process only); every later ``insert`` / ``delete`` refreshes each
+subscribed monitor in the write's own lane step and pushes the
+resulting :class:`~repro.streams.monitor.MembershipEvent` diffs to the
 subscriber as ``membership`` event lines.
 
 ``/metrics`` and ``/healthz`` answer both as protocol ops and as plain
-HTTP ``GET`` on the same port.
+HTTP ``GET`` on the same port, with the same keys and series on both
+fronts (the in-process server adds its engine's ``cache`` and cost
+``counters``).
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ import functools
 import json
 import logging
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.planner import backend_of
@@ -80,13 +91,24 @@ MAX_SUBSCRIBER_BACKLOG = 1 << 20
 #: (TCP backpressure on clients that pipeline without ever reading).
 MAX_RESPONSE_BACKLOG = 1 << 20
 
+#: Admission counters of every batcher, with their metric help texts.
+ADMISSION = (("admitted", "Queries admitted"),
+             ("shed", "Queries shed as overloaded"),
+             ("batches", "Coalesced batches executed"),
+             ("coalesced", "Queries sharing a batch"))
+
+#: Result-cache counters and cost counters of an in-process engine.
+CACHE_COUNTERS = ("hits", "misses", "evictions", "invalidations")
+COST_COUNTERS = ("page_reads", "buffer_hits", "nodes_visited",
+                 "edges_expanded", "oracle_prunes")
+
 
 def execute(db, engine, request: dict) -> dict:
     """Execute one ``batch``, ``mutate`` or ``compact`` request on ``db``.
 
     The one execution path of both serve fronts: :class:`RknnServer`
-    calls it on its single-thread executor, each fleet worker from its
-    pipe loop.  Either caller runs one request at a time, so a batch's
+    calls it on its lane's thread, each fleet worker from its pipe
+    loop.  Either caller runs one request at a time, so a batch's
     answers and the generation and stamp captured just before them
     describe the same state.
 
@@ -135,21 +157,77 @@ def execute(db, engine, request: dict) -> dict:
             "affected": outcome.affected_nodes, "io": outcome.io}
 
 
-class ConnectionServer:
-    """Lifecycle, connections and write bodies shared by both serve fronts.
+class WorkerDied(ReproError):
+    """The control pipe to a worker process broke (crash or kill)."""
 
-    Owns the listener, the shutdown handshake, the JSON-lines / HTTP
-    connection loops and the ``insert`` / ``delete`` / ``compact``
-    response bodies -- everything that does not depend on *where* a
-    request executes.  Subclasses plug in :meth:`_admit_query` (a
-    query's pending body), :meth:`_write` (one write request through
-    :func:`execute`), :meth:`_subscribe`, and the introspection hooks
-    :meth:`metrics` / :meth:`metrics_text` / :meth:`_health`.
-    :class:`RknnServer` executes in-process;
-    :class:`~repro.serve.fleet.FleetServer` routes to worker processes.
+
+class Lane:
+    """One single-thread executor running ``run(request)`` in
+    submission order.
+
+    The serialization point of a serving front: every batch and write
+    queued on a lane is one step of its thread, so a write lands
+    strictly between two batches and all writes apply in the order
+    they were queued, with no lock.  :attr:`alive` turns false only
+    when a fleet worker dies (:class:`~repro.serve.fleet.WorkerLane`).
     """
 
-    def __init__(self):
+    def __init__(self, run, name: str):
+        self.run = run
+        self.alive = True
+        self._executor = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix=name)
+
+    def call(self, fn, *args) -> asyncio.Future:
+        """Queue ``fn(*args)`` as the lane's next step; return its future."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args)
+
+    def submit(self, request: dict) -> asyncio.Future:
+        """Queue ``run(request)`` as the lane's next step."""
+        return self.call(self.run, request)
+
+    async def close(self) -> None:
+        """Finish the queued steps, then release the thread."""
+        self._executor.shutdown(wait=True)
+
+
+class ConnectionServer:
+    """The one serving front over a list of lanes.
+
+    Owns the listener, the shutdown handshake, the JSON-lines / HTTP
+    connection loops, one :class:`~repro.serve.batcher.MicroBatcher`
+    per lane (built in :meth:`start`), home-lane routing with reroute,
+    the batch runner, the write path and the introspection bodies.  A
+    subclass supplies its lanes, their home routing (:meth:`_lane_of`)
+    and, in process, standing queries (:meth:`_subscribe`):
+    :class:`RknnServer` runs one lane in this process,
+    :class:`~repro.serve.fleet.FleetServer` one per worker process.
+
+    ``generation`` and ``stamp`` are the served state's update
+    generation and snapshot stamp at construction (``stamp`` ``None``
+    off the delta overlay); every write reply advances them.
+    """
+
+    #: ``/metrics`` ``mode``: ``single`` in process, ``fleet`` across
+    #: worker processes.
+    mode = "single"
+
+    def __init__(self, backend: str, generation: int,
+                 stamp: tuple[int, int] | None, *,
+                 window: float = DEFAULT_WINDOW,
+                 max_batch: int = DEFAULT_MAX_BATCH,
+                 max_queue: int = DEFAULT_MAX_QUEUE):
+        # at most 30 instance attributes per class (with a subclass's):
+        # past that CPython 3.11 keeps them in a plain dict, and every
+        # attribute read on the request path slows by about a fifth
+        self.backend = backend
+        self._batching = {"window": window, "max_batch": max_batch,
+                          "max_queue": max_queue}
+        self._lanes: list[Lane] = []
+        self._batchers: list[MicroBatcher] = []
+        self._generation = generation
+        self._stamp = stamp
         self._subscriptions: dict[asyncio.StreamWriter, RnnMonitor] = {}
         self._server: asyncio.AbstractServer | None = None
         self._stop: asyncio.Event | None = None
@@ -164,11 +242,64 @@ class ConnectionServer:
         self.queries_served = 0
         self.mutations_applied = 0
         self.compactions = 0
+        #: Batcher fences: one per ``compact`` request, the only op
+        #: that waits for other connections' queries.
+        self.drains = 0
+        self.events_pushed = 0
+        self.reroutes = 0
+        self.registry = self._build_registry()
+
+    def _build_registry(self) -> MetricsRegistry:
+        """Wire every observable number into one metrics registry.
+
+        Everything is callback-backed over the front's own state (the
+        plain attributes the tests and benchmarks read); the admission
+        callbacks sum across the per-lane batchers at render time, so
+        the registry stays correct as lanes die.  The latency histogram
+        (round-trip seconds per lane batch, executor hand-off and pipe
+        included) is the only owned series.
+        """
+        registry = MetricsRegistry()
+        for name, help_text in (
+                ("queries_served", "Queries answered"),
+                ("mutations_applied", "Point mutations applied"),
+                ("compactions", "Delta-log folds"),
+                ("drains", "Batcher fences before a compaction"),
+                ("errors", "Requests answered with an error"),
+                ("events_pushed", "Membership events pushed"),
+                ("reroutes", "Queries rerouted off dead workers")):
+            registry.counter(name, help_text,
+                             fn=functools.partial(getattr, self, name))
+        registry.counter("worker_deaths", "Worker processes lost",
+                         fn=lambda: len(self._lanes) - self._live())
+        for key, help_text in ADMISSION:
+            registry.counter(f"admission_{key}", help_text,
+                             fn=functools.partial(self._admission, key))
+        registry.gauge("workers", "Lanes (worker processes) configured",
+                       fn=lambda: len(self._lanes))
+        registry.gauge("live_workers", "Lanes currently answering",
+                       fn=self._live)
+        registry.gauge("queue_depth", "Summed admission queue depth",
+                       fn=lambda: sum(b.depth for b in self._batchers))
+        registry.gauge("generation", "Update generation",
+                       fn=lambda: self._generation)
+        registry.gauge("subscriptions", "Registered standing queries",
+                       fn=lambda: len(self._subscriptions))
+        if self._stamp is not None:
+            registry.gauge("base_generation", "Overlay base generation",
+                           fn=lambda: self._stamp[0])
+            registry.gauge("delta_epoch", "Overlay delta epoch",
+                           fn=lambda: self._stamp[1])
+        self.latency = registry.histogram(
+            "batch_seconds", "Lane batch round-trip latency (seconds)"
+        )
+        return registry
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start accepting connections (port 0 = ephemeral)."""
+        """Build each lane's batcher, then bind and start accepting
+        connections (port 0 = ephemeral)."""
         with self._stop_mutex:
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
@@ -176,6 +307,11 @@ class ConnectionServer:
                 # a stop requested before the loop existed wins
                 # immediately: serve_until_stopped() returns at once
                 self._stop.set()
+        self._batchers = [
+            MicroBatcher(functools.partial(self._run_batch, index),
+                         **self._batching)
+            for index in range(len(self._lanes))
+        ]
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
@@ -217,45 +353,158 @@ class ConnectionServer:
             loop.call_soon_threadsafe(stop.set)
 
     async def stop(self) -> None:
-        """Close the listener; subclasses release their execution state."""
+        """Close the listener, fail waiting requests, close every lane."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        for batcher in self._batchers:
+            await batcher.close()
+        await asyncio.gather(*(lane.close() for lane in self._lanes))
 
-    # -- execution hooks ----------------------------------------------------
+    # -- routing and execution ----------------------------------------------
+
+    def _lane_of(self, spec) -> int:
+        """Home lane of a query spec (the one lane in process)."""
+        return 0
+
+    def _live(self) -> int:
+        """Lanes currently answering."""
+        return sum(1 for lane in self._lanes if lane.alive)
+
+    def _next_live(self, index: int) -> int | None:
+        """The first live lane at or after ``index`` (wrapping)."""
+        for step in range(len(self._lanes)):
+            candidate = (index + step) % len(self._lanes)
+            if self._lanes[candidate].alive:
+                return candidate
+        return None
 
     def _admit_query(self, payload: dict):
-        """Admit one ``query`` request; return its pending body.
+        """Admit a query into its home lane's batcher (the fast path).
 
-        The return value is a future resolving to the response body,
-        or a ready body dict.  May raise
+        A dead home lane reroutes at admission; with no live lane the
+        request is refused outright (clean error, no hang).  A
+        ``trace``-flagged (or ``EXPLAIN``) request bypasses the batcher
+        and runs as its own single-spec batch, so its span tree covers
+        exactly that request -- the diagnostics path, deliberately
+        unbatched.  Returns the future of the response body; may raise
         :class:`~repro.serve.batcher.QueueFull` to shed the request.
         """
-        raise NotImplementedError
+        spec, trace, explain = protocol.request_query(payload)
+        home = self._lane_of(spec)
+        target = home if self._lanes[home].alive else self._next_live(home)
+        if target is None:
+            raise ReproError("no live workers in the fleet")
+        if target != home:
+            self.reroutes += 1
+            logger.warning("rerouted query at admission: worker %d is "
+                           "dead, using worker %d", home, target)
+        if trace:
+            return asyncio.ensure_future(
+                self._run_traced(target, spec, explain))
+        return self._batchers[target].admit(spec)
+
+    async def _run_traced(self, index: int, spec, explain: bool) -> dict:
+        """One traced spec as its own lane batch; return its body."""
+        bodies = await self._run_batch(index, [spec], trace=True,
+                                       explain=explain)
+        return bodies[0]
+
+    async def _run_batch(self, index: int, specs, **flags) -> list[dict]:
+        """Run one coalesced batch on lane ``index``; return its bodies.
+
+        Each body carries the stamp its lane captured immediately
+        before executing the batch -- one lane step, one stamp per
+        response.  A lane dying mid-batch reroutes the whole batch to
+        the next live lane (every worker holds the full snapshot and
+        write history, so any of them answers identically).  ``flags``
+        are the :func:`execute` batch flags (``trace``, ``explain``).
+        """
+        request = {"kind": "batch", "specs": list(specs), **flags}
+        began = time.perf_counter()
+        try:
+            reply = await self._lanes[index].submit(request)
+        except WorkerDied:
+            target = self._next_live(index)
+            if target is None:
+                raise ReproError("no live workers to run the batch") from None
+            self.reroutes += len(specs)
+            logger.warning("worker %d died mid-batch; rerouting %d queries "
+                           "to worker %d", index, len(specs), target)
+            reply = await self._lanes[target].submit(request)
+        self.queries_served += len(specs)
+        self.latency.observe(time.perf_counter() - began)
+        return reply["bodies"]
 
     async def _write(self, request: dict) -> dict:
-        """Apply one ``mutate`` / ``compact`` request; return the
-        :func:`execute` reply it produced."""
-        raise NotImplementedError
+        """Apply one ``mutate`` / ``compact`` request on every live lane.
+
+        ``compact`` first fences every batcher, so queries admitted
+        before the fold answer at the old base, and counts one drain.
+        The write is then queued on every live lane in one synchronous
+        step -- so each lane's thread applies all writes in the same
+        order -- and the replies are awaited in turn: every lane must
+        report the **same** post-operation stamp, or the write fails
+        loudly instead of serving mixed answers.  A lane dying
+        meanwhile just leaves the front (it never answers again, so it
+        cannot leak a stale generation).  The membership events the
+        write caused are pushed to their subscribers afterwards.
+        Returns the :func:`execute` reply the lanes agreed on.
+        """
+        if request["kind"] == "compact":
+            for batcher in self._batchers:
+                await batcher.fence()
+            self.drains += 1
+        live = [index for index, lane in enumerate(self._lanes) if lane.alive]
+        futures = [self._lanes[index].submit(request) for index in live]
+        replies, failure = [], None
+        for index, future in zip(live, futures):
+            try:
+                replies.append(await future)
+            except WorkerDied:
+                logger.warning("worker %d died during %s broadcast; dropping "
+                               "it from the fleet", index, request["kind"])
+            except ReproError as exc:
+                # deterministic databases fail identically on every lane
+                # (e.g. inserting an existing pid)
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        if not replies:
+            raise ReproError("no live workers in the fleet")
+        stamps = {reply["stamp"] for reply in replies}
+        if len(stamps) != 1:  # pragma: no cover - defensive
+            raise ReproError(f"stamp divergence after {request['kind']}: "
+                             f"{sorted(stamps)}")
+        reply = replies[0]
+        self._generation, self._stamp = reply["generation"], reply["stamp"]
+        for writer, events in reply.get("events", ()):
+            for event in events:
+                writer.write(protocol.encode(
+                    protocol.membership_payload(event, reply["generation"])
+                ))
+                self.events_pushed += 1
+            # a subscriber that stops reading must not grow the server's
+            # memory without bound: evict it once its socket buffer
+            # backs up past the limit (its connection handler cleans up)
+            if (events and writer.transport.get_write_buffer_size()
+                    > MAX_SUBSCRIBER_BACKLOG):
+                self._subscriptions.pop(writer, None)
+                writer.close()
+        return reply
 
     async def _subscribe(self, payload: dict,
                          writer: asyncio.StreamWriter) -> dict:
-        """Register a standing query; return the response body."""
-        raise NotImplementedError
+        """Register a standing query; return the response body.
 
-    def metrics(self) -> dict:
-        """Counters for the ``/metrics`` endpoint (loop-thread only)."""
-        raise NotImplementedError
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the same counters (served at
-        ``GET /metrics?format=prometheus``)."""
-        raise NotImplementedError
-
-    def _health(self) -> dict:
-        """Body of the ``/healthz`` endpoint."""
-        raise NotImplementedError
+        Standing queries need one live database: only the in-process
+        server (:class:`RknnServer`) offers them.
+        """
+        raise ReproError(
+            "subscribe is not supported in fleet mode (--workers > 1); "
+            "run a single-process server for standing queries"
+        )
 
     # -- connection handling ------------------------------------------------
 
@@ -474,9 +723,57 @@ class ConnectionServer:
         with contextlib.suppress(ConnectionError):
             await writer.drain()
 
+    # -- introspection ------------------------------------------------------
+
+    def _admission(self, key: str) -> int:
+        """One admission counter summed over every lane's batcher."""
+        return sum(getattr(batcher.stats, key) for batcher in self._batchers)
+
+    def metrics(self) -> dict:
+        """Counters for the ``/metrics`` endpoint (loop-thread only)."""
+        live = self._live()
+        body = {
+            "backend": self.backend,
+            "mode": self.mode,
+            "workers": len(self._lanes),
+            "live_workers": live,
+            "worker_deaths": len(self._lanes) - live,
+            "reroutes": self.reroutes,
+            "generation": self._generation,
+            "queue_depth": sum(b.depth for b in self._batchers),
+            "queries_served": self.queries_served,
+            "mutations_applied": self.mutations_applied,
+            "compactions": self.compactions,
+            "drains": self.drains,
+            "errors": self.errors,
+            "events_pushed": self.events_pushed,
+            "subscriptions": len(self._subscriptions),
+            "admission": {key: self._admission(key) for key, _ in ADMISSION},
+            "latency": self.latency.to_dict(),
+        }
+        return protocol.stamped(body, self._stamp)
+
+    def metrics_text(self) -> str:
+        """Prometheus text exposition of the registry (served at
+        ``GET /metrics?format=prometheus``; loop-thread only)."""
+        return self.registry.render_prometheus()
+
+    def _health(self) -> dict:
+        """Body of the ``/healthz`` endpoint (``error`` once no lane is
+        live)."""
+        live = self._live()
+        body = {
+            "status": "ok" if live else "error",
+            "generation": self._generation,
+            "backend": self.backend,
+            "workers": len(self._lanes),
+            "live_workers": live,
+        }
+        return protocol.stamped(body, self._stamp)
+
 
 class RknnServer(ConnectionServer):
-    """Asyncio serving tier over one facade database.
+    """Asyncio serving tier over one facade database: the one-lane front.
 
     Parameters
     ----------
@@ -502,165 +799,38 @@ class RknnServer(ConnectionServer):
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  cache_entries: int = 4096,
                  slow_log=None):
-        super().__init__()
+        super().__init__(backend_of(db), db.generation,
+                         getattr(db, "stamp", None), window=window,
+                         max_batch=max_batch, max_queue=max_queue)
         self.db = db
         self.engine = db.engine(cache_entries=cache_entries,
                                 slow_log=slow_log)
-        self.batcher = MicroBatcher(
-            self._run_batch, window=window,
-            max_batch=max_batch, max_queue=max_queue,
-        )
-        # the serialization point: every batch, write and subscription
-        # is one step of this thread, in submission order
-        self._executor = ThreadPoolExecutor(max_workers=1)
-        #: Admission-queue drains: one per ``compact`` request, the
-        #: only op that waits for other connections' queries.
-        self.drains = 0
-        self.events_pushed = 0
-        self.registry = self._build_registry()
+        self._lanes.append(Lane(self._execute, "repro-serve"))
+        # the engine's result cache and the database's cost tracker join
+        # the registry as callback-backed series (nothing double-booked)
+        cache, tracker = self.engine.cache_stats, db.tracker
+        for key in CACHE_COUNTERS:
+            self.registry.counter(f"cache_{key}", f"Result-cache {key}",
+                                  fn=functools.partial(getattr, cache, key))
+        for key in COST_COUNTERS:
+            self.registry.counter(key,
+                                  f"CostTracker {key.replace('_', ' ')}",
+                                  fn=functools.partial(getattr, tracker, key))
 
-    def _build_registry(self) -> MetricsRegistry:
-        """Wire every observable number into one metrics registry.
-
-        Pre-existing sources of truth (the plain server counters the
-        tests and benchmarks read, the batcher's admission stats, the
-        engine's cache stats, the database's tracker) join as
-        callback-backed metrics, so nothing is double-booked; the
-        latency histogram is the registry's only owned series.
-        """
-        registry = MetricsRegistry()
-        registry.counter("queries_served", "Queries answered",
-                         fn=lambda: self.queries_served)
-        registry.counter("mutations_applied", "Point mutations applied",
-                         fn=lambda: self.mutations_applied)
-        registry.counter("compactions", "Delta-log folds",
-                         fn=lambda: self.compactions)
-        registry.counter("drains", "Admission-queue drains before a compaction",
-                         fn=lambda: self.drains)
-        registry.counter("errors", "Requests answered with an error",
-                         fn=lambda: self.errors)
-        registry.counter("events_pushed", "Membership events pushed",
-                         fn=lambda: self.events_pushed)
-        stats = self.batcher.stats
-        registry.counter("admission_admitted", "Queries admitted",
-                         fn=lambda: stats.admitted)
-        registry.counter("admission_shed", "Queries shed as overloaded",
-                         fn=lambda: stats.shed)
-        registry.counter("admission_batches", "Coalesced batches executed",
-                         fn=lambda: stats.batches)
-        registry.counter("admission_coalesced", "Queries sharing a batch",
-                         fn=lambda: stats.coalesced)
-        cache = self.engine.cache_stats
-        registry.counter("cache_hits", "Result-cache hits",
-                         fn=lambda: cache.hits)
-        registry.counter("cache_misses", "Result-cache misses",
-                         fn=lambda: cache.misses)
-        registry.counter("cache_evictions", "Result-cache evictions",
-                         fn=lambda: cache.evictions)
-        registry.counter("cache_invalidations", "Result-cache invalidations",
-                         fn=lambda: cache.invalidations)
-        tracker = self.db.tracker
-        for counter in ("page_reads", "buffer_hits", "nodes_visited",
-                        "edges_expanded", "oracle_prunes"):
-            registry.counter(
-                counter, f"CostTracker {counter.replace('_', ' ')}",
-                fn=(lambda name: lambda: getattr(tracker, name))(counter),
-            )
-        registry.gauge("queue_depth", "Admission queue depth",
-                       fn=lambda: self.batcher.depth)
-        registry.gauge("generation", "Database update generation",
-                       fn=lambda: self.db.generation)
-        registry.gauge("subscriptions", "Registered standing queries",
-                       fn=lambda: len(self._subscriptions))
-        if getattr(self.db, "stamp", None) is not None:
-            registry.gauge("base_generation", "Overlay base generation",
-                           fn=lambda: self.db.stamp[0])
-            registry.gauge("delta_epoch", "Overlay delta epoch",
-                           fn=lambda: self.db.stamp[1])
-        self.latency = registry.histogram(
-            "batch_seconds", "Engine batch execution latency (seconds)"
-        )
-        return registry
-
-    # -- lifecycle ----------------------------------------------------------
-
-    async def stop(self) -> None:
-        """Close the listener, fail waiting requests, release the pool."""
-        await super().stop()
-        await self.batcher.close()
-        self._executor.shutdown(wait=True)
-
-    # -- execution ----------------------------------------------------------
-
-    async def _step(self, fn, *args):
-        """Run ``fn(*args)`` as one step of the executor thread."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
-
-    def _admit_query(self, payload: dict):
-        """Admit a query straight into the micro-batcher (fast path).
-
-        A ``trace``-flagged (or ``EXPLAIN``) request bypasses the
-        batcher and runs as its own single-spec batch, so its span
-        tree covers exactly that request -- the diagnostics path,
-        deliberately unbatched.
-        """
-        spec, trace, explain = protocol.request_query(payload)
-        if trace:
-            return asyncio.ensure_future(self._run_traced(spec, explain))
-        return self.batcher.admit(spec)
-
-    async def _run_traced(self, spec, explain: bool) -> dict:
-        """One traced spec as its own batch; return its body."""
-        bodies = await self._run_batch([spec], trace=True, explain=explain)
-        return bodies[0]
-
-    async def _run_batch(self, specs, **flags) -> list[dict]:
-        """Execute one batch as one executor step; return its bodies
-        (``flags`` are the :func:`execute` batch flags)."""
-        request = {"kind": "batch", "specs": specs, **flags}
-        reply = await self._step(execute, self.db, self.engine, request)
-        self.queries_served += len(specs)
-        self.latency.observe(reply["seconds"])
-        return reply["bodies"]
-
-    async def _write(self, request: dict) -> dict:
-        """Apply one write and refresh every standing query in the same
-        executor step, then push the membership events it caused.
-
-        ``compact`` first fences the micro-batcher, so queries admitted
-        before the fold answer at the old base (the server's one
-        drain), and refreshes nothing: compaction changes no answers.
-        """
-        compact = request["kind"] == "compact"
-        if compact:
-            await self.batcher.fence()
-            self.drains += 1
-
-        def step():
-            reply = execute(self.db, self.engine, request)
-            monitors = [] if compact else list(self._subscriptions.items())
-            return reply, [(writer, monitor.refresh())
-                           for writer, monitor in monitors]
-
-        reply, refreshed = await self._step(step)
-        for writer, events in refreshed:
-            for event in events:
-                writer.write(protocol.encode(
-                    protocol.membership_payload(event, reply["generation"])
-                ))
-                self.events_pushed += 1
-            # a subscriber that stops reading must not grow the server's
-            # memory without bound: evict it once its socket buffer
-            # backs up past the limit (its connection handler cleans up)
-            if (events and writer.transport.get_write_buffer_size()
-                    > MAX_SUBSCRIBER_BACKLOG):
-                self._subscriptions.pop(writer, None)
-                writer.close()
+    def _execute(self, request: dict) -> dict:
+        """The lane's step: :func:`execute` one request; a point write
+        also refreshes every standing query in the same step, so its
+        events describe exactly that write."""
+        reply = execute(self.db, self.engine, request)
+        if request["kind"] == "mutate":
+            reply["events"] = [(writer, monitor.refresh()) for writer, monitor
+                               in list(self._subscriptions.items())]
         return reply
 
     async def _subscribe(self, payload: dict,
                          writer: asyncio.StreamWriter) -> dict:
+        """Register a standing query in one lane step; return the
+        acknowledgment carrying its initial results."""
         queries = {int(qid): int(node)
                    for qid, node in dict(payload["queries"]).items()}
         k = int(payload.get("k", 1))
@@ -673,7 +843,7 @@ class RknnServer(ConnectionServer):
             results = {str(qid): monitor.result(qid) for qid in queries}
             return self.db.generation, results
 
-        generation, results = await self._step(register)
+        generation, results = await self._lanes[0].call(register)
         return {
             "status": "ok",
             "subscribed": sorted(queries),
@@ -682,52 +852,15 @@ class RknnServer(ConnectionServer):
             "results": results,
         }
 
-    # -- introspection ------------------------------------------------------
-
     def metrics(self) -> dict:
-        """Counters for the ``/metrics`` endpoint (loop-thread only)."""
-        tracker = self.db.tracker
-        cache = self.engine.cache_stats
-        body = {
-            "backend": backend_of(self.db),
-            "generation": self.db.generation,
-            "queue_depth": self.batcher.depth,
-            "queries_served": self.queries_served,
-            "mutations_applied": self.mutations_applied,
-            "compactions": self.compactions,
-            "drains": self.drains,
-            "errors": self.errors,
-            "events_pushed": self.events_pushed,
-            "subscriptions": len(self._subscriptions),
-            "admission": self.batcher.stats.snapshot(),
-            "cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "invalidations": cache.invalidations,
-            },
-            "counters": {
-                "page_reads": tracker.page_reads,
-                "buffer_hits": tracker.buffer_hits,
-                "nodes_visited": tracker.nodes_visited,
-                "edges_expanded": tracker.edges_expanded,
-                "oracle_prunes": tracker.oracle_prunes,
-            },
-            "latency": self.latency.to_dict(),
-        }
-        return protocol.stamped(body, getattr(self.db, "stamp", None))
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of the registry (loop-thread only)."""
-        return self.registry.render_prometheus()
-
-    def _health(self) -> dict:
-        body = {
-            "status": "ok",
-            "generation": self.db.generation,
-            "backend": backend_of(self.db),
-        }
-        return protocol.stamped(body, getattr(self.db, "stamp", None))
+        """The shared ``/metrics`` body plus the engine's result-cache
+        and cost counters (loop-thread only)."""
+        body = super().metrics()
+        cache, tracker = self.engine.cache_stats, self.db.tracker
+        body["cache"] = {key: getattr(cache, key) for key in CACHE_COUNTERS}
+        body["counters"] = {key: getattr(tracker, key)
+                            for key in COST_COUNTERS}
+        return body
 
 
 class ServerHandle:
@@ -737,7 +870,7 @@ class ServerHandle:
     when the context exits.
     """
 
-    def __init__(self, server: RknnServer, thread: threading.Thread):
+    def __init__(self, server: ConnectionServer, thread: threading.Thread):
         self.server = server
         self._thread = thread
 
@@ -758,6 +891,29 @@ class ServerHandle:
 
 
 @contextlib.contextmanager
+def _boot_in_thread(server: ConnectionServer, host: str, port: int,
+                    timeout: float):
+    """Run ``server`` on a daemon thread; yield its :class:`ServerHandle`
+    once it accepts connections (:class:`RuntimeError` if not within
+    ``timeout`` seconds), and stop it on exit."""
+    ready = threading.Event()
+
+    def _run() -> None:
+        asyncio.run(server.run(host, port, ready=lambda _address: ready.set()))
+
+    thread = threading.Thread(target=_run, daemon=True, name="repro-serve")
+    thread.start()
+    if not ready.wait(timeout=timeout):
+        server.request_stop()
+        raise RuntimeError(f"server failed to start within {timeout:g} s")
+    handle = ServerHandle(server, thread)
+    try:
+        yield handle
+    finally:
+        handle.stop()
+
+
+@contextlib.contextmanager
 def serve_in_thread(db, *, host: str = "127.0.0.1", port: int = 0,
                     **kwargs):
     """Run an :class:`RknnServer` on a daemon thread; yield its handle.
@@ -768,18 +924,5 @@ def serve_in_thread(db, *, host: str = "127.0.0.1", port: int = 0,
             client = ServeClient(handle.host, handle.port)
             ...
     """
-    server = RknnServer(db, **kwargs)
-    ready = threading.Event()
-
-    def _run() -> None:
-        asyncio.run(server.run(host, port, ready=lambda _address: ready.set()))
-
-    thread = threading.Thread(target=_run, daemon=True, name="repro-serve")
-    thread.start()
-    if not ready.wait(timeout=10):
-        raise RuntimeError("server failed to start within 10 s")
-    handle = ServerHandle(server, thread)
-    try:
+    with _boot_in_thread(RknnServer(db, **kwargs), host, port, 10) as handle:
         yield handle
-    finally:
-        handle.stop()

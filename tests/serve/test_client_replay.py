@@ -1,5 +1,8 @@
 """The CI replay path: recorded request log through the client CLI."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,8 @@ from repro.serve.client import replay
 
 from tests.serve.conftest import build_db, build_inputs
 
-LOG = Path(__file__).resolve().parent.parent.parent / "benchmarks" / "data" / \
-    "serve_requests.jsonl"
+ROOT = Path(__file__).resolve().parent.parent.parent
+LOG = ROOT / "benchmarks" / "data" / "serve_requests.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +62,20 @@ def test_replay_fails_loudly_on_error_responses(inputs, tmp_path):
         with pytest.raises(AssertionError, match="error response"):
             with bad_log.open() as handle_file:
                 replay(handle_file, handle.host, handle.port)
+
+
+def test_module_entry_point_imports_the_client_once():
+    """``python -m repro.serve`` runs the replay CLI without executing
+    the client module a second time as ``__main__`` (which Python
+    reports as a RuntimeWarning, an error under ``-W error``)."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.serve",
+         "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "--replay" in result.stdout

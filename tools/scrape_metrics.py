@@ -35,6 +35,9 @@ REQUIRED_SAMPLES = (
     "repro_queries_served_total",
     "repro_mutations_applied_total",
     "repro_admission_admitted_total",
+    "repro_drains_total",
+    "repro_errors_total",
+    "repro_live_workers",
     "repro_batch_seconds_count",
     'repro_batch_seconds_bucket{le="+Inf"}',
 )
@@ -48,12 +51,12 @@ def scrape(host: str, port: int, trace_out: str | None) -> int:
     failures = 0
 
     body = http_get(host, port, "/metrics")
-    for key in ("backend", "queries_served", "latency"):
+    for key in ("backend", "mode", "queries_served", "latency"):
         if key not in body:
             print(f"FAIL  JSON /metrics missing {key!r}")
             failures += 1
     print(f"ok    JSON /metrics: backend={body.get('backend')} "
-          f"mode={body.get('mode', 'single')} "
+          f"mode={body.get('mode')} "
           f"queries_served={body.get('queries_served')}")
 
     text = http_get_text(host, port, "/metrics?format=prometheus")
