@@ -11,10 +11,10 @@ I/O and no buffer bookkeeping on the adjacency hot path.
 
 Because the flat arrays support the buffer protocol, the backend also
 carries a vectorized batch kernel (:mod:`repro.compact.batch`):
-``batch_rknn()`` answers a whole batch of RkNN specs in one
-multi-source bucketed Dijkstra over numpy views of the CSR arrays,
-bitwise identical to the scalar loop and charged to the same cost
-model.
+``batch_rknn()`` answers a whole batch of RkNN and aggregate NN specs
+in one multi-source bucketed Dijkstra over numpy views of the CSR
+arrays, bitwise identical to the scalar loop and charged to the same
+cost model.
 
 Mutations go through an LSM-style delta overlay
 (:mod:`repro.compact.overlay`): the CSR arrays are an immutable base
@@ -24,7 +24,12 @@ pin a ``(base_generation, delta_epoch)`` snapshot stamp, and
 readers.
 """
 
-from repro.compact.batch import BatchRequest, batch_rknn_kernel, numpy_available
+from repro.compact.batch import (
+    AggregateRequest,
+    BatchRequest,
+    batch_rknn_kernel,
+    numpy_available,
+)
 from repro.compact.csr import CSRDiGraph, CSRGraph
 from repro.compact.db import CompactDatabase, CompactDirectedDatabase
 from repro.compact.overlay import DeltaOp, DeltaOverlay, OverlayGraphStore
@@ -36,6 +41,7 @@ from repro.compact.store import (
 )
 
 __all__ = [
+    "AggregateRequest",
     "BatchRequest",
     "CSRDiGraph",
     "CSRGraph",

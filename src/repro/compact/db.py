@@ -28,6 +28,7 @@ import copy
 from typing import Iterable
 
 from repro.compact.batch import (
+    AggregateRequest,
     BatchRequest,
     batch_rknn_kernel,
     numpy_available,
@@ -39,7 +40,7 @@ from repro.compact.store import (
     MemoryKnnStore,
 )
 from repro.core.continuous import validate_route
-from repro.core.result import OracleResult, RnnResult, UpdateResult
+from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
 from repro.errors import QueryError
 from repro.facade import DirectedFacade, UndirectedFacade
 from repro.graph.digraph import DiGraph
@@ -88,33 +89,39 @@ class _CompactStorage:
         return MemoryKnnStore(self.graph.num_nodes, capacity, lists)
 
     def batch_rknn(self, specs) -> tuple[RnnResult, ...]:
-        """Answer a batch of RkNN specs in one vectorized CSR pass.
+        """Answer a batch of RkNN and aggregate NN specs in one CSR pass.
 
-        All candidate expansions run together as a bucketed
-        multi-source Dijkstra over numpy views of the CSR arrays (see
-        :mod:`repro.compact.batch`), with the attached landmark oracle
-        -- when profitable -- filtering whole candidate rows up front.
-        Answers are bitwise identical to looping the scalar facade
-        over the specs; each spec is validated exactly as its scalar
-        counterpart would validate it.
+        Every spec becomes rows of one bucketed multi-source Dijkstra
+        over numpy views of the CSR arrays (see
+        :mod:`repro.compact.batch`): each data point is a candidate row
+        shared by the RkNN specs -- with the attached landmark oracle,
+        when profitable, filtering whole candidate rows up front --
+        and each ``aggregate_nn`` spec expands one row per distinct
+        group member until the threshold rule stops them.  Answers are
+        bitwise identical to looping the scalar facade over the specs;
+        each spec is validated exactly as its scalar counterpart would
+        validate it.
 
         Parameters
         ----------
         specs:
             :class:`~repro.engine.spec.QuerySpec` values of a kind in
-            :attr:`batch_kinds` (``"rknn"``, and ``"continuous"`` on
-            undirected networks).  Methods are accepted for surface
-            parity but do not change the vectorized plan (every
-            method answers identically).
+            :attr:`batch_kinds` (``"rknn"`` and ``"aggregate_nn"``,
+            plus ``"continuous"`` on undirected networks).  RkNN
+            methods are accepted for surface parity but do not change
+            the vectorized plan (every method answers identically).
 
         Returns
         -------
-        tuple[RnnResult, ...]
-            One result per spec, in order, each carrying its share of
-            the batch's charged cost (zero I/O; the per-query counters
-            sum to the batch total).  Without numpy, or while edge
-            deltas are pending, the batch falls back to the scalar
-            per-spec loop, answers unchanged.
+        tuple[RnnResult | KnnResult, ...]
+            One result per spec, in order -- a
+            :class:`~repro.core.result.KnnResult` ranking for an
+            ``aggregate_nn`` spec, an :class:`~repro.core.result.RnnResult`
+            otherwise -- each carrying its share of the batch's charged
+            cost (zero I/O; the per-query counters sum to the batch
+            total).  Without numpy, or while edge deltas are pending,
+            the batch falls back to the scalar per-spec loop, answers
+            unchanged.
         """
         specs = list(specs)
         requests = []
@@ -124,6 +131,12 @@ class _CompactStorage:
                     f"batch_rknn serves kinds {self.batch_kinds}, "
                     f"got {spec.kind!r}"
                 )
+            if spec.kind == "aggregate_nn":
+                self._check_group(spec.group, spec.k, spec.agg)
+                requests.append(AggregateRequest(
+                    spec.group, spec.k, spec.agg, frozenset(spec.exclude)
+                ))
+                continue
             if spec.kind == "continuous":
                 validate_route(self.view, spec.route)
                 self._check_query(spec.route[0], spec.k, spec.method)
@@ -154,6 +167,11 @@ class _CompactStorage:
         """Per-spec scalar loop: the ``batch_rknn`` fallback."""
         results = []
         for spec in specs:
+            if spec.kind == "aggregate_nn":
+                results.append(self.aggregate_nn(
+                    spec.group, spec.k, spec.agg, spec.exclude
+                ))
+                continue
             route = list(spec.route) if spec.kind == "continuous" else None
             points, diff = self._measure(
                 lambda spec=spec, route=route: self._run_rknn(
@@ -186,10 +204,12 @@ class _CompactStorage:
         diff = self.tracker.diff(before)
         cpu_each = diff.cpu_seconds / max(1, len(requests))
         results = []
-        for answer, charge in zip(answers, charges):
+        for request, answer, charge in zip(requests, answers, charges):
             charge.cpu_seconds = cpu_each
+            result = (KnnResult if isinstance(request, AggregateRequest)
+                      else RnnResult)
             results.append(
-                RnnResult(tuple(answer), charge.io_operations, cpu_each, charge)
+                result(tuple(answer), charge.io_operations, cpu_each, charge)
             )
         return tuple(results)
 
@@ -502,7 +522,7 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
     # -- vectorized batch kernel --------------------------------------------
 
     #: Query kinds the vectorized batch kernel serves (engine dispatch).
-    batch_kinds = ("rknn", "continuous")
+    batch_kinds = ("rknn", "continuous", "aggregate_nn")
 
     def _kernel_arrays(self):
         """The CSR views the batch kernel expands over, or ``None``.
@@ -774,11 +794,13 @@ class CompactDirectedDatabase(_CompactStorage, DirectedFacade):
     # -- vectorized batch kernel --------------------------------------------
 
     #: Query kinds the vectorized batch kernel serves (engine dispatch).
-    batch_kinds = ("rknn",)
+    batch_kinds = ("rknn", "aggregate_nn")
 
     def _kernel_arrays(self):
         """The out-arc CSR views: candidate points expand *forward*
         (distances ``d(p -> .)``) and the membership test compares
         ``d(p -> q)`` against each point's k-th nearest competitor --
-        the directed RkNN definition."""
+        the directed RkNN definition; group members expand forward
+        too, to the distances ``d(member -> p)`` the directed ``knn``
+        returns."""
         return self.store.csr.out_flat()

@@ -9,6 +9,9 @@ Three queries from paper Section 3.1:
   among the k nearest neighbors of data point ``p``, implemented as a
   range-NN around ``p`` that terminates as soon as ``q`` is met.
 
+:func:`rank_aggregate` ranks aggregate nearest neighbors from
+per-member distances; every ``aggregate_nn`` path ranks through it.
+
 Tie handling follows the RkNN definition
 ``RkNN(q) = {p | d(p, q) <= d(p, p_k(p))}``: a point belongs to the
 result when *fewer than k* other points are **strictly** closer to it
@@ -72,6 +75,25 @@ def range_nn(
             if len(result) == k:
                 break
     return result
+
+
+def rank_aggregate(
+    member_distances: Iterable[tuple[int, list[float]]],
+    k: int,
+    agg: str,
+) -> tuple[tuple[int, float], ...]:
+    """The ``k`` best aggregate nearest neighbors, ranked by ``(value, pid)``.
+
+    ``member_distances`` yields ``(pid, distances)`` pairs, where
+    ``distances`` holds one network distance per group member in group
+    order (a repeated member repeats its distance) as plain floats.
+    ``agg`` is ``"sum"`` or ``"max"``.  The scalar facades and the batch
+    kernel both rank here, so their values are bitwise equal on every
+    Python version (3.12 changed how ``sum`` rounds a float list).
+    """
+    chooser = sum if agg == "sum" else max
+    scored = sorted((chooser(dists), pid) for pid, dists in member_distances)
+    return tuple((pid, float(value)) for value, pid in scored[:k])
 
 
 def verify(

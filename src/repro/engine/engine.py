@@ -27,10 +27,11 @@ three cooperating mechanisms:
   over a **compact** backend (:mod:`repro.compact`) worker sessions
   share the read-only CSR arrays -- a session is just a private
   tracker, so there is no per-worker storage to clone or warm -- and
-  the RkNN / continuous specs of each chunk execute through the
-  backend's vectorized ``batch_rknn`` numpy kernel
-  (:mod:`repro.compact.batch`) in one pass instead of a per-spec
-  Python loop (``batch_kernel=False`` restores the scalar loop).
+  the RkNN / continuous / ``aggregate_nn`` specs of each chunk
+  execute through the backend's vectorized ``batch_rknn`` numpy
+  kernel (:mod:`repro.compact.batch`) in one pass instead of a
+  per-spec Python loop (``batch_kernel=False`` restores the scalar
+  loop).
 
 Results come back in the caller's original batch order and are
 bitwise-identical to a sequential loop over the facade (the engine
@@ -148,8 +149,9 @@ class QueryEngine:
         chunking.
     batch_kernel:
         Vectorized batch dispatch (default on).  Over a compact
-        backend, the cache-missing RkNN / continuous specs of a batch
-        (or of a worker's chunk) execute through the database's
+        backend, the cache-missing RkNN / continuous / ``aggregate_nn``
+        specs of a batch (or of a worker's chunk) execute through the
+        database's
         ``batch_rknn`` numpy kernel in one pass instead of a per-spec
         loop -- answers are bitwise identical either way, and cached
         results stay keyed on ``(generation, spec)`` exactly like
@@ -271,12 +273,16 @@ class QueryEngine:
         preserves); the result cache, not the pool, is what makes
         repeated traffic cheap.
 
-        Group kinds (``topk_influence``, ``aggregate_nn``) and
-        range-restricted RkNN specs are first expanded into primitive
-        sub-specs (:mod:`repro.engine.groups`); the sub-specs join the
-        flat batch -- so they are planned, deduplicated, cached and
+        Group kinds (``topk_influence``) and range-restricted RkNN
+        specs are first expanded into primitive sub-specs
+        (:mod:`repro.engine.groups`); the sub-specs join the flat
+        batch -- so they are planned, deduplicated, cached and
         vectorized exactly like caller-supplied primitives -- and the
         combined answers are cached under the group spec's own key.
+        ``aggregate_nn`` is primitive: one spec per statement, which a
+        compact backend's kernel serves beside the batch's RkNN specs
+        (one row per distinct group member) and every other backend
+        answers with one ``knn(member, |P|)`` per distinct member.
 
         ``tracer`` overrides the engine's default tracer for this one
         batch (``EXPLAIN`` and the serve tier's per-request tracing
@@ -553,6 +559,8 @@ class QueryEngine:
                     f"{type(db).__name__} does not support continuous queries"
                 )
             return runner(spec.route, spec.k, method=spec.method, exclude=spec.exclude)
+        if spec.kind == "aggregate_nn":
+            return db.aggregate_nn(spec.group, spec.k, spec.agg, spec.exclude)
         raise QueryError(f"unknown query kind {spec.kind!r}")  # pragma: no cover
 
 

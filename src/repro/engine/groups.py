@@ -1,12 +1,17 @@
-"""Group-kind expansion: compile aggregate queries onto primitive kinds.
+"""Group-kind expansion: compile composite queries onto primitive kinds.
 
-The engine's *group kinds* -- ``topk_influence`` and ``aggregate_nn`` --
-and the range-restricted RkNN variants (``within``) are not executed by
-the backends directly.  Instead the engine expands each one into a batch
-of primitive specs (``rknn``/``bichromatic``/``knn``/``range``), runs
-the batch through its ordinary pipeline (admission planner, result
-cache, vectorized batch kernel where the backend offers one), and then
-*combines* the sub-results into the aggregate answer.
+The engine's *group kind* -- ``topk_influence`` -- and the
+range-restricted RkNN variants (``within``) are not executed by the
+backends directly.  Instead the engine expands each one into a batch
+of primitive specs (``rknn``/``bichromatic``/``range``), runs the
+batch through its ordinary pipeline (admission planner, result cache,
+vectorized batch kernel where the backend offers one), and then
+*combines* the sub-results into the composite answer.
+
+``aggregate_nn`` is a primitive kind, not a group kind: every facade
+answers it with ``aggregate_nn(group, k, agg, exclude)``, and the
+compact backend's batch kernel expands its group members as rows of
+the same pass that serves the batch's RkNN specs.
 
 That keeps every backend's query surface unchanged: a compact CSR
 snapshot answers ``topk_influence`` with one vectorized
@@ -67,8 +72,6 @@ def expand(db, spec: QuerySpec) -> Expansion | None:
     """
     if spec.kind == "topk_influence":
         return _expand_topk_influence(db, spec)
-    if spec.kind == "aggregate_nn":
-        return _expand_aggregate_nn(db, spec)
     if spec.within is not None:
         return _expand_within(db, spec)
     return None
@@ -115,40 +118,6 @@ def _expand_topk_influence(db, spec: QuerySpec) -> Expansion:
         counters = _merge_cost(results)
         return KnnResult(
             neighbors=tuple(scored[:limit]),
-            io=sum(result.io for result in results),
-            cpu_seconds=sum(result.cpu_seconds for result in results),
-            counters=counters,
-        )
-
-    return Expansion(subspecs, combine)
-
-
-def _expand_aggregate_nn(db, spec: QuerySpec) -> Expansion:
-    """Rank data points by aggregate distance to every group member."""
-    horizon = max(1, len(db.points))
-    subspecs = tuple(
-        QuerySpec("knn", query=member, k=horizon, exclude=spec.exclude)
-        for member in spec.group
-    )
-    chooser = sum if spec.agg == "sum" else max
-
-    def combine(results: Sequence) -> KnnResult:
-        per_point: dict[int, list[float]] = {}
-        for result in results:
-            for pid, dist in result.neighbors:
-                per_point.setdefault(pid, []).append(dist)
-        members = len(results)
-        # a point unreachable from any group member has no aggregate
-        scored = sorted(
-            (chooser(dists), pid)
-            for pid, dists in per_point.items()
-            if len(dists) == members
-        )
-        counters = _merge_cost(results)
-        return KnnResult(
-            neighbors=tuple(
-                (pid, float(value)) for value, pid in scored[:spec.k]
-            ),
             io=sum(result.io for result in results),
             cpu_seconds=sum(result.cpu_seconds for result in results),
             counters=counters,

@@ -118,8 +118,9 @@ def kernel_batch_kinds(db) -> tuple[str, ...]:
 
     A database with a kernel (``batch_rknn`` over the compact CSR flat
     arrays) advertises the kinds it vectorizes through a
-    ``batch_kinds`` attribute (``("rknn", "continuous")`` undirected,
-    ``("rknn",)`` directed).  Every other database returns ``()``, so
+    ``batch_kinds`` attribute (``("rknn", "continuous",
+    "aggregate_nn")`` undirected, ``("rknn", "aggregate_nn")``
+    directed).  Every other database returns ``()``, so
     the engine's dispatch degrades to the scalar per-spec loop.
     """
     return tuple(getattr(db, "batch_kinds", ()))

@@ -37,9 +37,11 @@ The supported kinds mirror the read-only query surface of
     by the ``sum`` or ``max`` of their network distances to every group
     member and keep the ``k`` best.
 
-The last two are *group kinds*: the engine expands them into batches of
-primitive specs (see :mod:`repro.engine.groups`), so the vectorized
-batch kernel and the result cache serve them unchanged.
+``topk_influence`` is a *group kind*: the engine expands it into a
+batch of primitive specs (see :mod:`repro.engine.groups`), so the
+vectorized batch kernel and the result cache serve them unchanged.
+``aggregate_nn`` is primitive: each facade answers it directly, and the
+compact backend's batch kernel serves it beside RkNN specs.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ KINDS = (
 #: Kinds whose execution method matters (and is part of the cache key).
 METHOD_KINDS = ("rknn", "bichromatic", "continuous", "topk_influence")
 
-#: Kinds the engine answers by expanding into a batch of primitive specs.
-GROUP_KINDS = ("topk_influence", "aggregate_nn")
+#: Kinds the engine answers by expanding into a batch of primitive specs
+#: (``aggregate_nn`` is primitive: the facades answer it directly).
+GROUP_KINDS = ("topk_influence",)
 
 #: ``method`` value asking the engine's planner to pick the cheapest method.
 AUTO_METHOD = "auto"
@@ -142,8 +145,9 @@ class QuerySpec:
         One of :data:`KINDS`.
     query:
         A node id, or a ``(u, v, pos)`` edge location for unrestricted
-        networks.  Derived (not supplied) for ``continuous`` and the
-        group kinds; ``None`` for ``topk_influence``.
+        networks.  Derived (not supplied) for ``continuous`` (the
+        route's first node) and ``aggregate_nn`` (the group's first
+        member); ``None`` for ``topk_influence``.
     k:
         Neighborhood size (>= 1).  For ``aggregate_nn`` this is the
         number of aggregate neighbors returned.

@@ -5,10 +5,10 @@ and directed -- differ only in where adjacency lists, K-NN lists and
 landmark labels live.  Everything else is here, once: query
 validation, the eager / lazy / eager-M / lazy-EP dispatch over a
 network view, K-NN materialization, point updates, the bichromatic
-reference set, the landmark oracle, cost measurement and the engine
-and qlang entry points.  :class:`UndirectedFacade` and
-:class:`DirectedFacade` hold the two query surfaces over the shared
-root :class:`FacadeBase`.
+reference set, the landmark oracle, aggregate nearest neighbors, cost
+measurement and the engine and qlang entry points.
+:class:`UndirectedFacade` and :class:`DirectedFacade` hold the two
+query surfaces over the shared root :class:`FacadeBase`.
 
 A storage class calls :meth:`FacadeBase._init_state`, lays out its
 storage, builds its view with ``_rebuild_view()`` and implements the
@@ -59,8 +59,10 @@ from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
 from repro.core.materialize import MaterializedKNN, Seed, all_nn
 from repro.core.network import NetworkView
 from repro.core.nn import knn as restricted_knn
+from repro.core.nn import rank_aggregate
 from repro.core.nn import range_nn as restricted_range_nn
 from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
+from repro.engine.spec import AGG_FUNCS
 from repro.errors import QueryError
 from repro.oracle import (
     DEFAULT_LANDMARKS,
@@ -225,7 +227,80 @@ class FacadeBase:
 
         return execute(self, statement)
 
+    # -- aggregate nearest neighbors --------------------------------------
+
+    def aggregate_nn(
+        self,
+        group: Sequence[int],
+        k: int = 1,
+        agg: str = "sum",
+        exclude: AbstractSet[int] = _EMPTY,
+    ) -> KnnResult:
+        """The ``k`` data points of smallest aggregate distance to a group.
+
+        One ``knn(member, |P|)`` per distinct member gives every point's
+        distance from that member (forward distances on a directed
+        network); points are ranked by the ``sum`` or ``max`` of those
+        distances over the group, point id breaking ties.
+
+        Parameters
+        ----------
+        group:
+            Node ids of the query group; a repeated member counts once
+            per occurrence in a ``sum``.
+        k:
+            Number of points returned.
+        agg:
+            ``"sum"`` or ``"max"``.
+        exclude:
+            Data point ids hidden for the query's duration.
+
+        Returns
+        -------
+        KnnResult
+            ``(point id, aggregate distance)`` pairs, best first; a
+            point some member cannot reach has no aggregate and is
+            left out.  The cost record sums the members' kNN runs.
+        """
+        group = self._check_group(group, k, agg)
+        horizon = max(1, len(self.points))
+        runs = {member: self.knn(member, horizon, exclude)
+                for member in dict.fromkeys(group)}
+        per_point: dict[int, list[float]] = {}
+        for member in group:
+            for pid, dist in runs[member].neighbors:
+                per_point.setdefault(pid, []).append(dist)
+        results = runs.values()
+        return KnnResult(
+            rank_aggregate(
+                ((pid, dists) for pid, dists in per_point.items()
+                 if len(dists) == len(group)),
+                k, agg,
+            ),
+            sum(result.io for result in results),
+            sum(result.cpu_seconds for result in results),
+            CostTracker.merged(result.counters for result in results),
+        )
+
     # -- validation -------------------------------------------------------
+
+    def _check_group(self, group, k: int, agg: str) -> tuple[int, ...]:
+        """Validate an ``aggregate_nn`` request; return the group as a tuple."""
+        group = tuple(group)
+        if not group:
+            raise QueryError("aggregate_nn needs a non-empty group of node ids")
+        if agg not in AGG_FUNCS:
+            raise QueryError(
+                f"unknown aggregation {agg!r}; choose one of {AGG_FUNCS}"
+            )
+        if k < 1:
+            raise QueryError(f"k must be >= 1, got {k}")
+        for member in group:
+            if not isinstance(member, int):
+                raise QueryError(f"group members are node ids, got {member!r}")
+            if not 0 <= member < self.graph.num_nodes:
+                raise QueryError(f"group member {member} out of range")
+        return group
 
     def _require_mat(self) -> MaterializedKNN:
         if self.materialized is None:

@@ -229,6 +229,8 @@ class ConnectionServer:
         self._generation = generation
         self._stamp = stamp
         self._subscriptions: dict[asyncio.StreamWriter, RnnMonitor] = {}
+        #: each open connection's handler task, closed by :meth:`stop`
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -333,7 +335,12 @@ class ConnectionServer:
         a ``threading.Event.set`` wrapper, a ready-file writer, or a
         print.
         """
-        await self.start(host, port)
+        try:
+            await self.start(host, port)
+        except BaseException:
+            # release whatever started (lanes, worker processes)
+            await self.stop()
+            raise
         if ready is not None:
             ready(self.address)
         await self.serve_until_stopped()
@@ -353,9 +360,16 @@ class ConnectionServer:
             loop.call_soon_threadsafe(stop.set)
 
     async def stop(self) -> None:
-        """Close the listener, fail waiting requests, close every lane."""
+        """Close the listener and every open connection, fail waiting
+        requests, close every lane."""
         if self._server is not None:
             self._server.close()
+            # each handler reads EOF and returns, instead of being
+            # cancelled (and logged) when the event loop ends
+            handlers = list(self._connections.values())
+            for writer in list(self._connections):
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         for batcher in self._batchers:
@@ -510,6 +524,7 @@ class ConnectionServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
             first = await reader.readline()
             if not first:
@@ -524,6 +539,7 @@ class ConnectionServer:
             pass
         finally:
             self._subscriptions.pop(writer, None)
+            self._connections.pop(writer, None)
             # no wait_closed(): the handler may itself be cancelled at
             # loop shutdown, and awaiting here would log that cancellation
             writer.close()
@@ -894,18 +910,34 @@ class ServerHandle:
 def _boot_in_thread(server: ConnectionServer, host: str, port: int,
                     timeout: float):
     """Run ``server`` on a daemon thread; yield its :class:`ServerHandle`
-    once it accepts connections (:class:`RuntimeError` if not within
-    ``timeout`` seconds), and stop it on exit."""
+    once it accepts connections, and stop it on exit.
+
+    A server that fails to start (a busy port, a worker that cannot
+    boot) re-raises its own exception here at once; one that is still
+    not accepting connections after ``timeout`` seconds raises
+    :class:`RuntimeError`.
+    """
     ready = threading.Event()
+    failed: list[BaseException] = []
 
     def _run() -> None:
-        asyncio.run(server.run(host, port, ready=lambda _address: ready.set()))
+        try:
+            asyncio.run(server.run(host, port,
+                                   ready=lambda _address: ready.set()))
+        except BaseException as exc:
+            if ready.is_set():
+                raise
+            failed.append(exc)
+            ready.set()
 
     thread = threading.Thread(target=_run, daemon=True, name="repro-serve")
     thread.start()
     if not ready.wait(timeout=timeout):
         server.request_stop()
         raise RuntimeError(f"server failed to start within {timeout:g} s")
+    if failed:
+        thread.join()
+        raise failed[0]
     handle = ServerHandle(server, thread)
     try:
         yield handle

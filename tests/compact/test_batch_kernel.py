@@ -212,13 +212,14 @@ def test_kernel_batch_kinds_advertisement(undirected):
     from repro import GraphDatabase
 
     compact = CompactDatabase(graph, points)
-    assert kernel_batch_kinds(compact) == ("rknn", "continuous")
+    assert kernel_batch_kinds(compact) == ("rknn", "continuous",
+                                           "aggregate_nn")
     assert kernel_batch_kinds(GraphDatabase(graph, points)) == ()
 
     directed_graph = DiGraph.from_arcs([(0, 1, 1.0), (1, 0, 2.0)],
                                        num_nodes=2)
     directed_db = CompactDirectedDatabase(directed_graph, NodePointSet({}))
-    assert kernel_batch_kinds(directed_db) == ("rknn",)
+    assert kernel_batch_kinds(directed_db) == ("rknn", "aggregate_nn")
 
 
 def test_csr_flat_views_are_memoized(undirected, directed):

@@ -22,6 +22,13 @@ run scalar one by one.
 **Same buckets.**  The kernel's frontier loop must settle exactly the
 buckets of the dense loop kept in ``dense_kernel_reference.py``: the
 same answers and, field by field, the same charge for every request.
+
+**Aggregate rows.**  ``aggregate_nn`` specs answered by the kernel must
+equal the scalar ``aggregate_nn`` and a brute force ranking all-pairs
+distances by ``(value, pid)`` -- on undirected and directed networks,
+with ties, a detached component, repeated members, excludes and ``k``
+above ``|P|`` -- and their values must be bitwise equal to the scalar
+path's on float weights.
 """
 
 import heapq
@@ -42,6 +49,7 @@ from repro.compact.batch import (
     numpy_available,
 )
 from repro.graph.digraph import DiGraph
+from repro.graph.graph import Graph
 from tests.compact.dense_kernel_reference import dense_batch_rknn_kernel
 from tests.conftest import build_random_graph
 
@@ -93,14 +101,17 @@ def batch_cases(draw, min_batch=5, max_batch=8, int_weights=None):
 
 
 def _dijkstra(graph, source):
-    """Reference single-source distances (textbook binary heap)."""
+    """Reference single-source distances (textbook binary heap); a
+    directed network is expanded along its arcs."""
+    step = (graph.out_neighbors if isinstance(graph, DiGraph)
+            else graph.neighbors)
     dist = {source: 0.0}
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist.get(u, math.inf):
             continue
-        for v, w in graph.neighbors(u):
+        for v, w in step(u):
             nd = d + w
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
@@ -163,15 +174,41 @@ def test_batch_matches_scalar_compact_bitwise(case):
     )
 
 
-@given(case=batch_cases())
+def _aggregate_specs(rng, num_nodes, num_points, count):
+    """``count`` aggregate NN specs: one to three members plus an
+    occasional repeat, excludes, ``k`` up to ``|P| + 2``, sum and max."""
+    specs = []
+    for _ in range(count):
+        group = [rng.randrange(num_nodes) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            group.insert(rng.randrange(len(group) + 1), rng.choice(group))
+        specs.append(QuerySpec(
+            "aggregate_nn",
+            group=tuple(group),
+            k=rng.randint(1, num_points + 2),
+            agg=rng.choice(("sum", "max")),
+            exclude=frozenset(rng.sample(range(num_points),
+                                         rng.randint(0, min(2, num_points)))),
+        ))
+    return specs
+
+
+@given(case=batch_cases(), aggregates=st.integers(min_value=0, max_value=3))
 @settings(**SETTINGS)
-def test_per_request_counters_conserve_tracker_totals(case):
+def test_per_request_counters_conserve_tracker_totals(case, aggregates):
     """Work is split across requests exactly: neither dropped nor
-    invented (the cost model's never-undercounted half)."""
+    invented (the cost model's never-undercounted half) -- also when
+    aggregate NN specs share the batch, which must then answer as each
+    kind does alone."""
     graph, points, specs, seed = case
+    rng = random.Random(seed)
+    mixed = list(specs)
+    for spec in _aggregate_specs(rng, graph.num_nodes, len(points),
+                                 aggregates):
+        mixed.insert(rng.randrange(len(mixed) + 1), spec)
     db = CompactDatabase(graph, points)
     before = db.tracker.snapshot()
-    results = db.batch_rknn(specs)
+    results = db.batch_rknn(mixed)
     diff = db.tracker.diff(before)
     for field in COUNTED:
         total = getattr(diff, field)
@@ -183,6 +220,21 @@ def test_per_request_counters_conserve_tracker_totals(case):
     assert all(result.io == 0 for result in results), (
         f"seed={seed}: the batch kernel charged page I/O"
     )
+
+    def answer(spec, result):
+        return result.neighbors if spec.kind == "aggregate_nn" else result.points
+
+    alone = {}
+    for kind in ("rknn", "aggregate_nn"):
+        same = [spec for spec in mixed if spec.kind == kind]
+        if same:
+            fresh = CompactDatabase(graph, points).batch_rknn(same)
+            alone.update((id(spec), answer(spec, result))
+                         for spec, result in zip(same, fresh))
+    for spec, result in zip(mixed, results):
+        assert answer(spec, result) == alone[id(spec)], (
+            f"seed={seed}: {spec} answers differently in a mixed batch"
+        )
 
 
 @given(case=batch_cases())
@@ -263,6 +315,83 @@ def test_kernel_matches_dense_loop_exactly(case, landmarks):
     directed = CompactDirectedDatabase(_orient(graph, rng), points)
     _assert_matches_dense(directed.store.csr.out_flat(), graph.num_nodes,
                           items, requests, None, f"seed={seed} directed")
+
+
+@st.composite
+def aggregate_cases(draw):
+    """An integer-weighted network plus a detached path component,
+    points on both parts, and a batch of aggregate NN specs."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = random.Random(seed)
+    n = draw(st.integers(min_value=12, max_value=30))
+    main = build_random_graph(rng, n, n // 2, int_weights=True)
+    island = draw(st.integers(min_value=0, max_value=4))
+    edges = list(main.edges()) + [
+        (n + i, n + i + 1, float(rng.randint(1, 9)))
+        for i in range(island - 1)
+    ]
+    graph = Graph(n + island, edges)
+    num_points = draw(st.integers(min_value=3, max_value=8))
+    points = NodePointSet({
+        pid: node
+        for pid, node in enumerate(rng.sample(range(n + island), num_points))
+    })
+    count = draw(st.integers(min_value=1, max_value=5))
+    specs = _aggregate_specs(rng, n + island, num_points, count)
+    return graph, points, specs, seed
+
+
+def _brute_aggregate(graph, points, spec):
+    """Rank every point reachable from all members by ``(value, pid)``."""
+    distances = {member: _dijkstra(graph, member) for member in spec.group}
+    chooser = sum if spec.agg == "sum" else max
+    scored = []
+    for pid, node in sorted(points.items()):
+        dists = [distances[member].get(node, math.inf)
+                 for member in spec.group]
+        if pid not in spec.exclude and not math.isinf(max(dists)):
+            scored.append((chooser(dists), pid))
+    return tuple((pid, value) for value, pid in sorted(scored)[:spec.k])
+
+
+@given(case=aggregate_cases(), directed=st.booleans())
+@settings(**SETTINGS)
+def test_aggregate_rows_match_scalar_and_brute_force(case, directed):
+    """Integer weights make ties exact: the threshold rule must keep
+    expanding while a point may still tie the k-th aggregate."""
+    graph, points, specs, seed = case
+    if directed:
+        graph = _orient(graph, random.Random(seed))
+        db = CompactDirectedDatabase(graph, points)
+    else:
+        db = CompactDatabase(graph, points)
+    for spec, result in zip(specs, db.batch_rknn(specs)):
+        scalar = db.aggregate_nn(spec.group, spec.k, spec.agg,
+                                 spec.exclude).neighbors
+        expected = _brute_aggregate(graph, points, spec)
+        assert result.neighbors == scalar == expected, (
+            f"seed={seed} directed={directed}: kernel {result.neighbors}, "
+            f"scalar {scalar}, brute force {expected} for {spec}"
+        )
+
+
+def test_aggregate_values_are_bitwise_equal_on_float_weights():
+    """Three members at 0.1, 0.2 and 0.3 from point 0: a left-to-right
+    float sum gives 0.6000000000000001, a compensated one (Python 3.12's
+    ``sum``) 0.6.  Both paths rank through one function, so they agree
+    bit for bit on every Python version."""
+    graph = Graph(6, [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3),
+                      (3, 4, 0.7), (4, 5, 1.3)])
+    points = NodePointSet({0: 0, 1: 4, 2: 5})
+    specs = [QuerySpec("aggregate_nn", group=(1, 2, 3), k=3, agg=agg)
+             for agg in ("sum", "max")]
+    db = CompactDatabase(graph, points)
+    for spec, result in zip(specs, db.batch_rknn(specs)):
+        scalar = db.aggregate_nn(spec.group, spec.k, spec.agg).neighbors
+        assert [(pid, value.hex()) for pid, value in result.neighbors] == [
+            (pid, value.hex()) for pid, value in scalar
+        ]
+    assert db.batch_rknn(specs)[0].neighbors[0] == (0, sum([0.1, 0.2, 0.3]))
 
 
 def test_numpy_is_available_in_ci():

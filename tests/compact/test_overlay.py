@@ -303,14 +303,24 @@ def test_pending_edge_deltas_force_scalar_batch(setup):
     graph, points = setup
     db = CompactDatabase(graph, points)
     specs = [QuerySpec("rknn", query=q, k=1) for q in (3, 9, 12, 17, 21)]
+    specs += [QuerySpec("aggregate_nn", group=(3, 29), k=2),
+              QuerySpec("aggregate_nn", group=(0, 9, 9), k=1, agg="max")]
+
+    def answers(results):
+        return [r.neighbors if s.kind == "aggregate_nn" else r.points
+                for s, r in zip(specs, results)]
+
     db.insert_edge(0, 29, 1.0)
     assert not hasattr(db.store, "csr")
-    batched = [r.points for r in db.batch_rknn(specs)]
-    scalar = [db.rknn(s.query, s.k).points for s in specs]
+    batched = answers(db.batch_rknn(specs))
+    scalar = answers([
+        db.aggregate_nn(s.group, s.k, s.agg) if s.kind == "aggregate_nn"
+        else db.rknn(s.query, s.k) for s in specs
+    ])
     assert batched == scalar
     db.compact()
     assert hasattr(db.store, "csr")
-    assert [r.points for r in db.batch_rknn(specs)] == scalar
+    assert answers(db.batch_rknn(specs)) == scalar
 
 
 def test_compaction_with_edge_ops_matches_overlay_bitwise(setup):

@@ -11,16 +11,19 @@ the in-memory graph alone and share no code with the storage stacks:
   random connected graph -- point inserts and deletes,
   ``materialize`` and ``attach_reference`` -- and checks ``rknn``
   under all four methods, ``continuous_rknn``, ``bichromatic_rknn``,
-  ``knn`` and ``range_nn`` against brute force, plus one qlang script
-  with ``topk_influence`` and ``aggregate_nn`` across the four.
+  ``knn``, ``range_nn`` and ``aggregate_nn`` (direct, and batched
+  through the engine, which runs the compact batch kernel) against
+  brute force, plus one qlang script with ``topk_influence`` and
+  ``aggregate_nn`` across the four.
 * :class:`CompactOverlay` appends point and edge mutations to one
   oracle-equipped compact database, compacts at random, and checks
   ``at_epoch(e)`` for a drawn ``e`` against brute force on the model's
   state at ``e``, and ``batch_rknn`` against brute force at the head.
 * :class:`DirectedFacades` keeps the three directed databases in
   lockstep under point inserts, deletes and ``materialize``: ``rknn``
-  (eager, eager-m, naive) is checked against brute force, ``knn`` and
-  ``range_nn`` must agree across the three.
+  (eager, eager-m, naive) and ``aggregate_nn`` over forward distances
+  are checked against brute force, ``knn`` and ``range_nn`` must agree
+  across the three.
 
 Weights are integers, so every path sum is exact and distances compare
 with ``==``.
@@ -78,6 +81,46 @@ def _pick(items, index):
 def _with_eager_m(k, capacity, methods):
     """``methods`` plus eager-m when lists of ``capacity >= k`` exist."""
     return methods + (("eager-m",) if capacity and k <= capacity else ())
+
+
+class _ArcsOut:
+    """A directed graph seen through ``neighbors``: its out-arcs."""
+
+    def __init__(self, graph):
+        self.neighbors = graph.out_neighbors
+
+
+def _aggregate_specs(seed, num_nodes, k):
+    """A sum and a max ``aggregate_nn`` spec over one to three members,
+    drawn with repeats."""
+    rng = random.Random(seed)
+    group = tuple(rng.randrange(num_nodes) for _ in range(rng.randint(1, 3)))
+    return [QuerySpec("aggregate_nn", group=group, k=k, agg=agg)
+            for agg in ("sum", "max")]
+
+
+def _brute_aggregate(graph, points, spec):
+    """Rank every point all members reach by ``(aggregate, pid)``."""
+    dists = [dijkstra(graph, [(member, 0.0)]) for member in spec.group]
+    chooser = sum if spec.agg == "sum" else max
+    scored = sorted(
+        (chooser([dist[node] for dist in dists]), pid)
+        for pid, node in points.items()
+        if all(node in dist for dist in dists)
+    )
+    return tuple((pid, value) for value, pid in scored[:spec.k])
+
+
+def _check_aggregates(dbs, specs, expected):
+    """Each facade answers ``specs`` like brute force, one call per
+    spec and as one engine batch."""
+    for name, db in dbs.items():
+        for spec, want in zip(specs, expected):
+            got = db.aggregate_nn(spec.group, spec.k, spec.agg).neighbors
+            assert got == want, (name, spec)
+        batched = [result.neighbors
+                   for result in db.engine().run_batch(specs).results]
+        assert batched == expected, (name, "batch", specs)
 
 
 def _check_ranked(got, expected_dists, true_dist, label):
@@ -228,6 +271,13 @@ class UndirectedFacades(RuleBasedStateMachine):
         for name, db in self.dbs.items():
             _check_ranked(db.range_nn(query, k, float(radius)).neighbors,
                           expected, true_dist, (name, query, k, radius))
+
+    @rule(seed=SEEDS, k=KS)
+    def aggregate_nn(self, seed, k):
+        specs = _aggregate_specs(seed, self.num_nodes, k)
+        expected = [_brute_aggregate(self.graph, self.points, spec)
+                    for spec in specs]
+        _check_aggregates(self.dbs, specs, expected)
 
     @rule(seed=SEEDS)
     def group_script_agrees(self, seed):
@@ -420,6 +470,13 @@ class DirectedFacades(RuleBasedStateMachine):
             for name, db in self.dbs.items():
                 got = list(db.rknn(query, k, method=method).points)
                 assert got == expected, (name, method, query, k)
+
+    @rule(seed=SEEDS, k=KS)
+    def aggregate_nn(self, seed, k):
+        specs = _aggregate_specs(seed, self.num_nodes, k)
+        expected = [_brute_aggregate(_ArcsOut(self.graph), self.points, spec)
+                    for spec in specs]
+        _check_aggregates(self.dbs, specs, expected)
 
     @rule(pick=PICKS, k=KS, radius=st.integers(min_value=1, max_value=20))
     def forward_reads_agree(self, pick, k, radius):

@@ -357,6 +357,21 @@ class TestFaults:
                 assert metrics["live_workers"] == 0
 
 
+def test_worker_boot_failure_raises_at_once(inputs):
+    """A worker that cannot boot surfaces as WorkerDied right away
+    rather than after the fleet's start timeout."""
+    import time
+
+    from repro.serve.server import WorkerDied
+
+    began = time.perf_counter()
+    with pytest.raises(WorkerDied, match="K must be >= 1"):
+        with fleet_in_thread(build_compact(inputs), workers=1,
+                             materialize=-3):
+            pass
+    assert time.perf_counter() - began < 60.0
+
+
 def test_fleet_server_rejects_zero_workers(tmp_path, inputs):
     from repro.errors import QueryError
 

@@ -487,3 +487,35 @@ class TestLifecycle:
                 assert client.healthz()["status"] == "ok"
         # serve_in_thread's exit path is itself a cross-thread
         # request_stop(); reaching this line means it returned
+
+    def test_busy_port_raises_the_bind_error_at_once(self, db):
+        """A server that cannot bind re-raises its own OSError instead
+        of waiting out the start timeout."""
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            began = time.perf_counter()
+            with pytest.raises(OSError):
+                with serve_in_thread(db, port=busy.getsockname()[1]):
+                    pass
+            assert time.perf_counter() - began < 5.0
+
+    def test_stop_with_an_open_connection_logs_no_cancellation(
+            self, db, caplog):
+        """Leaving the block while a client socket is still open closes
+        the connection: its handler returns instead of being cancelled
+        (which asyncio would log as an error)."""
+        import socket
+
+        caplog.set_level("ERROR", logger="asyncio")
+        with serve_in_thread(db) as handle:
+            sock = socket.create_connection((handle.host, handle.port))
+            sock.sendall(b'{"op": "query", "kind": "knn", '
+                         b'"query": 3, "k": 1}\n')
+            reply = sock.makefile("rb").readline()
+            assert json.loads(reply)["status"] == "ok"
+        sock.close()
+        assert [record for record in caplog.records
+                if record.name == "asyncio"] == []
