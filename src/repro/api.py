@@ -27,11 +27,11 @@ from repro.core import baseline
 from repro.core.in_route import RouteStop, in_route_knn
 from repro.core.result import KnnResult
 from repro.errors import QueryError
-from repro.facade import _EMPTY, METHODS, Location, UndirectedFacade, rebuffered
+from repro.facade import _EMPTY, METHODS, Location, UndirectedFacade
 from repro.graph.graph import Graph
 from repro.graph.partition import bfs_order, hilbert_order
 from repro.points.points import EdgePointSet, NodePointSet, PointSet
-from repro.storage.buffer import BufferManager
+from repro.storage.buffer import BufferManager, rebuffered
 from repro.storage.disk import DiskGraph, EdgePointStore
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker

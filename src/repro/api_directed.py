@@ -22,10 +22,10 @@ import copy
 from typing import Iterable
 
 from repro.errors import QueryError
-from repro.facade import DIRECTED_METHODS as METHODS, DirectedFacade, rebuffered
+from repro.facade import DIRECTED_METHODS as METHODS, DirectedFacade
 from repro.graph.digraph import DiGraph
 from repro.points.points import NodePointSet
-from repro.storage.buffer import BufferManager
+from repro.storage.buffer import BufferManager, rebuffered
 from repro.storage.disk_directed import DiskDiGraph, weak_bfs_order
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
@@ -89,9 +89,7 @@ class DirectedGraphDatabase(DirectedFacade):
         clone = copy.copy(self)
         clone.tracker = CostTracker()
         clone.buffer = BufferManager(self.buffer.capacity_pages, clone.tracker)
-        clone.disk = copy.copy(self.disk)
-        clone.disk._forward = rebuffered(self.disk._forward, clone.buffer)
-        clone.disk._backward = rebuffered(self.disk._backward, clone.buffer)
+        clone.disk = rebuffered(self.disk, clone.buffer)
         clone._rebuffer_lists(clone.buffer)
         clone._rebuild_view()
         return clone

@@ -866,12 +866,11 @@ def _compact_compact(args: argparse.Namespace) -> int:
                         f"{args.mutations}:{lineno}: bad mutation: {exc!r}"
                     ) from exc
                 applied += 1
-    pending = db.overlay.epoch
     print(f"applied {applied} mutation(s) through the delta overlay: "
-          f"stamp {db.stamp}, {pending} pending delta op(s)")
+          f"stamp {db.stamp}, {db.stamp[1]} pending delta op(s)")
     outcome = db.compact()
     print(f"folded {outcome.affected_nodes} delta op(s) into base "
-          f"generation {db.base_generation} "
+          f"generation {db.stamp[0]} "
           f"({db.store.num_nodes} nodes / {db.store.num_edges} edges, "
           f"{sum(1 for _ in db.points.items())} points); "
           f"stamp {db.stamp}")

@@ -16,10 +16,11 @@ in one multi-source bucketed Dijkstra over numpy views of the CSR
 arrays, bitwise identical to the scalar loop and charged to the same
 cost model.
 
-Mutations go through an LSM-style delta overlay
-(:mod:`repro.compact.overlay`): the CSR arrays are an immutable base
-generation, every point/edge insert-delete appends to a log, readers
-pin a ``(base_generation, delta_epoch)`` snapshot stamp, and
+Mutations go through one LSM-style delta log
+(:class:`DeltaLog`, :mod:`repro.compact.overlay`): the CSR arrays are
+an immutable base generation, every point/edge insert-delete appends
+to the log, sessions (``read_clone()``, ``at_epoch()``) hold the log
+pinned at a ``(base_generation, delta_epoch)`` snapshot stamp, and
 ``compact()`` folds the log into a fresh base -- writes never drain
 readers.
 """
@@ -32,7 +33,7 @@ from repro.compact.batch import (
 )
 from repro.compact.csr import CSRDiGraph, CSRGraph
 from repro.compact.db import CompactDatabase, CompactDirectedDatabase
-from repro.compact.overlay import DeltaOp, DeltaOverlay, OverlayGraphStore
+from repro.compact.overlay import DeltaLog, DeltaOp, OverlayGraphStore
 from repro.compact.snapshot import CSRGraphAdapter, load_snapshot, save_snapshot
 from repro.compact.store import (
     CompactDiGraphStore,
@@ -50,8 +51,8 @@ __all__ = [
     "CompactDiGraphStore",
     "CompactDirectedDatabase",
     "CompactGraphStore",
+    "DeltaLog",
     "DeltaOp",
-    "DeltaOverlay",
     "MemoryKnnStore",
     "OverlayGraphStore",
     "batch_rknn_kernel",

@@ -33,18 +33,19 @@ from repro.compact.batch import (
     batch_rknn_kernel,
     numpy_available,
 )
-from repro.compact.overlay import DeltaOp, DeltaOverlay, OverlayGraphStore
+from repro.compact.overlay import DeltaLog, DeltaOp
 from repro.compact.store import (
     CompactDiGraphStore,
     CompactGraphStore,
     MemoryKnnStore,
 )
 from repro.core.continuous import validate_route
+from repro.core.materialize import MaterializedKNN
 from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
 from repro.errors import QueryError
 from repro.facade import DirectedFacade, UndirectedFacade
 from repro.graph.digraph import DiGraph
-from repro.graph.graph import Graph, edge_key
+from repro.graph.graph import Graph
 from repro.graph.partition import bfs_order, hilbert_order
 from repro.oracle import (
     LowerOnlyBounds,
@@ -214,19 +215,23 @@ class _CompactStorage:
         return tuple(results)
 
     def read_clone(self):
-        """A read-only session **sharing** this database's CSR arrays.
+        """A read-only session over this database's CSR arrays.
 
         Returns
         -------
         CompactDatabase or CompactDirectedDatabase
-            A constant-time clone: the flat arrays and materialized
-            lists are shared read-only; only the tracker (and the
-            views bound to it) is private, so concurrent sessions
-            never race on counters.  Running updates through a clone
-            is unsupported.
+            A constant-time clone sharing the flat arrays and the
+            materialized lists, which are copied on write (the head
+            copies the table once, at its first write after a clone),
+            so the clone keeps answering from the lists it pinned.
+            Only the tracker (and the views bound to it) is private.
         """
         clone = copy.copy(self)
         clone.tracker = CostTracker()
+        if self.materialized is not None:
+            clone.materialized = MaterializedKNN(
+                self.materialized.store.share()
+            )
         clone._rebind_views()
         return clone
 
@@ -255,10 +260,10 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         ``"hilbert"`` (requires coordinates).  Answers never depend on
         it; only batch execution order does.
     compact_threshold:
-        When set, the delta overlay auto-compacts into a fresh base
-        generation as soon as the pending log reaches this many
-        operations (see :meth:`compact`); ``None`` (default) leaves
-        compaction to explicit calls.
+        When set, the delta log auto-compacts into a fresh base
+        generation as soon as it holds this many operations (see
+        :meth:`compact`); ``None`` (default) leaves compaction to
+        explicit calls.
     """
 
     def __init__(
@@ -280,26 +285,9 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
             raise QueryError(f"unknown node_order {node_order!r}")
         self.store = CompactGraphStore(graph, order=order)
         self._rebuild_view()
-        self._init_overlay(compact_threshold)
-
-    def _init_overlay(self, compact_threshold: int | None) -> None:
-        """Start the delta-overlay state at ``(base 0, epoch 0)``."""
-        if compact_threshold is not None and compact_threshold < 1:
-            raise QueryError(
-                f"compact_threshold must be >= 1, got {compact_threshold}"
-            )
-        #: Append-only mutation log over the immutable base (see
-        #: :mod:`repro.compact.overlay`).
-        self.overlay = DeltaOverlay(self.points)
-        #: Base generation: bumped only by :meth:`compact`.
-        self.base_generation = 0
-        #: Delta epoch: operations appended since the last compaction.
-        self.delta_epoch = 0
-        self.compact_threshold = compact_threshold
-        self._base_store = self.store
-        self._base_graph = self.graph
-        self._live_weights: dict[tuple[int, int], float] | None = None
-        self._time_travel = False
+        #: The write history (:class:`~repro.compact.overlay.DeltaLog`).
+        self.log = DeltaLog(self.store, graph, points,
+                            threshold=compact_threshold)
 
     # -- constructors -------------------------------------------------------
 
@@ -349,7 +337,7 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         compact._init_state(db.graph, points)
         compact.store = CompactGraphStore.from_disk(db.disk)
         compact._rebuild_view()
-        compact._init_overlay(None)
+        compact.log = DeltaLog(compact.store, db.graph, points)
         return compact
 
     # -- properties ---------------------------------------------------------
@@ -366,15 +354,17 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         compactions -- which change no answers -- simply move cached
         traffic to a fresh key.
         """
-        return (self.base_generation, self.delta_epoch)
+        return self.log.stamp
 
     @property
     def needs_compaction(self) -> bool:
         """Whether the pending delta log has reached ``compact_threshold``."""
-        return (
-            self.compact_threshold is not None
-            and self.overlay.epoch >= self.compact_threshold
-        )
+        return self.log.needs_fold
+
+    @property
+    def compact_threshold(self) -> int | None:
+        """The auto-compaction trigger (``None``: explicit calls only)."""
+        return self.log.threshold
 
     # -- storage ------------------------------------------------------------
 
@@ -410,7 +400,7 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         unreachable.
         """
         super().attach_reference(reference)
-        self.base_generation += 1
+        self.log.generation += 1
 
     # -- snapshots ----------------------------------------------------------
 
@@ -472,16 +462,15 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
     def at_epoch(self, epoch: int) -> "CompactDatabase":
         """A pinned read-only session answering as of delta ``epoch``.
 
-        Time travel within the current base generation: the session's
-        point set is the delta log replayed to ``epoch``, its store is
-        the base CSR arrays merged with the prefix's edge operations,
-        and its :attr:`stamp` is ``(base_generation, epoch)``.  Because
-        the base is immutable and the log append-only, the session
-        stays valid while the head keeps mutating; it answers exactly
-        what the head answered when its epoch *was* ``epoch``.
-        Epochs older than the last compaction are gone -- compaction
-        folds the log into a fresh base -- so ``epoch`` must be within
-        ``0 .. delta_epoch``.
+        Time travel within the current base generation: the session
+        holds the delta log pinned at ``epoch`` -- its point set and
+        store are that log's replay -- and its :attr:`stamp` is
+        ``(base_generation, epoch)``.  Because the base is immutable
+        and the log append-only, the session stays valid while the
+        head keeps mutating; it answers exactly what the head answered
+        when its epoch *was* ``epoch``.  Epochs older than the last
+        compaction are gone, and a session sees none past its own pin,
+        so ``epoch`` must be within ``0 ..`` this database's epoch.
 
         Parameters
         ----------
@@ -498,26 +487,28 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
             still admissible at ``epoch`` (no pending edge insertions
             in the prefix).
         """
-        points = self.overlay.points_at(epoch)
-        edge_ops = self.overlay.edge_ops_at(epoch)
+        log = self.log.at(epoch)
         session = copy.copy(self)
         session.tracker = CostTracker()
-        session.points = points
-        session.graph = self._base_graph
-        session.store = (
-            self._base_store if not edge_ops
-            else OverlayGraphStore(self._base_store, edge_ops)
-        )
+        session.log = log
+        session.points = log.points()
+        session.store = log.store()
         session.materialized = None
         session._ref_points = None
         session._ref_view = None
         session._ref_materialized = None
-        if any(op.kind == "insert-edge" for op in edge_ops):
+        if any(op.kind == "insert-edge" for op in log.edge_ops()):
             session.oracle = None
         session._rebuild_view()
-        session.delta_epoch = epoch
-        session._time_travel = True
         return session
+
+    def read_clone(self):
+        """A constant-time session holding the log pinned at the current
+        stamp: it keeps that stamp and refuses writes (see
+        :meth:`at_epoch`)."""
+        clone = super().read_clone()
+        clone.log = self.log.at(self.log.epoch)
+        return clone
 
     # -- vectorized batch kernel --------------------------------------------
 
@@ -538,7 +529,7 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
     # -- edge updates and compaction ----------------------------------------
 
     def insert_edge(self, u: int, v: int, weight: float) -> UpdateResult:
-        """Append an edge insertion to the delta overlay.
+        """Append an edge insertion to the delta log.
 
         The CSR base stays untouched: the new edge lives in the delta
         log, and the facade's store becomes (or remains) the merged
@@ -577,20 +568,19 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
                 raise QueryError(
                     f"edge ({u}, {v}) has non-positive weight {weight}"
                 )
-            if edge_key(u, v) in self._edge_weights():
+            if self._has_edge(u, v):
                 raise QueryError(f"edge ({u}, {v}) already exists")
-            self._edge_weights()[edge_key(u, v)] = float(weight)
             self.materialized = None
             self._ref_materialized = None
             self.oracle = None
-            return self.overlay.epoch + 1
+            return self.log.epoch + 1
 
         affected, diff = self._measure(run)
         self._log_write("insert-edge", u=u, v=v, weight=float(weight))
         return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
 
     def delete_edge(self, u: int, v: int) -> UpdateResult:
-        """Append an edge deletion to the delta overlay.
+        """Append an edge deletion to the delta log.
 
         Like :meth:`insert_edge`, the base arrays stay immutable and
         the deletion is replayed by the merged view; materialized
@@ -616,15 +606,14 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         self._require_writable()
 
         def run() -> int:
-            if edge_key(u, v) not in self._edge_weights():
+            if not self._has_edge(u, v):
                 raise QueryError(f"no edge between {u} and {v}")
-            del self._edge_weights()[edge_key(u, v)]
             self.materialized = None
             self._ref_materialized = None
             if self.oracle is not None and not isinstance(
                     self.oracle, LowerOnlyBounds):
                 self.oracle = LowerOnlyBounds(self.oracle)
-            return self.overlay.epoch + 1
+            return self.log.epoch + 1
 
         affected, diff = self._measure(run)
         self._log_write("delete-edge", u=u, v=v)
@@ -635,19 +624,15 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
     def compact(self) -> UpdateResult:
         """Fold the delta log into a fresh immutable base generation.
 
-        With pending edge operations the network is rebuilt -- the
-        merged edge sequence (base order minus deletions, plus
-        insertions in append order) becomes a new
-        :class:`~repro.graph.graph.Graph` and a new CSR store, with
-        adjacency order identical to the overlay view, so answers do
-        not change by a single bit.  With a point-only log the arrays
-        are reused as they are.  Either way the current point set
-        becomes the new base, :attr:`base_generation` is bumped, the
-        epoch resets to 0 and the vectorized batch kernel / oracle
-        builds are available again.  The update :attr:`generation` is
-        *not* bumped: compaction changes no observable state.  With an
-        empty log this is a no-op (nothing folded, no bump), so forced
-        compactions are idempotent.
+        See :meth:`repro.compact.overlay.DeltaLog.fold`: no answer
+        changes by a single bit, and after a fold of edge operations
+        :attr:`graph` is a :class:`~repro.compact.snapshot.CSRGraphAdapter`
+        over the new arrays, as after :meth:`load_snapshot`.  The base
+        generation is bumped, the epoch resets to 0 and the vectorized
+        batch kernel / oracle builds are available again.  The update
+        :attr:`generation` is *not* bumped: compaction changes no
+        observable state.  An empty log folds nothing and bumps
+        nothing, so forced compactions are idempotent.
 
         Returns
         -------
@@ -657,72 +642,43 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         self._require_writable()
 
         def run() -> int:
-            folded = self.overlay.epoch
-            if folded == 0:
-                return 0
-            if self.overlay.edge_op_count:
-                # the live edge table is the merged sequence the
-                # overlay view replays: base order minus deletions,
-                # insertions appended
-                graph = Graph(
-                    self._base_graph.num_nodes,
-                    [(u, v, w) for (u, v), w in self._edge_weights().items()],
-                    coords=self._base_graph.coords,
-                )
-                self.graph = graph
-                self._base_graph = graph
-                self.store = CompactGraphStore(graph, order=bfs_order(graph))
-            else:
-                self.store = self._base_store
-            self._base_store = self.store
-            self.overlay = DeltaOverlay(self.points)
-            self.base_generation += 1
-            self.delta_epoch = 0
-            self._live_weights = None
-            self._rebind_views()
+            folded = self.log.fold()
+            if folded:
+                self.graph = self.log.base_graph
+                self.store = self.log.base_store
+                self._rebind_views()
             return folded
 
         folded, diff = self._measure(run)
         return UpdateResult(folded, diff.io_operations, diff.cpu_seconds, diff)
 
-    def _edge_weights(self) -> dict[tuple[int, int], float]:
-        """The live (head) edge table, built lazily on first edge mutation."""
-        if self._live_weights is None:
-            live = {
-                edge_key(u, v): w for u, v, w in self._base_graph.edges()
-            }
-            for op in self.overlay.edge_ops_at(self.overlay.epoch):
-                key = edge_key(op.u, op.v)
-                if op.kind == "insert-edge":
-                    live[key] = float(op.weight)
-                else:
-                    del live[key]
-            self._live_weights = live
-        return self._live_weights
+    def _has_edge(self, u: int, v: int) -> bool:
+        """Whether the head network holds edge ``(u, v)``."""
+        return 0 <= u < self.graph.num_nodes and any(
+            nbr == v for nbr, _ in self.store.neighbors(u)
+        )
 
     def _log_write(self, kind: str, **fields) -> None:
-        """Append a validated mutation: bump the epoch, rebind views,
-        auto-compact past the threshold.  Never drains readers --
-        pinned sessions keep their captured store/point references."""
+        """Append a validated write; auto-compact past the threshold.
+        Only an edge operation swaps the store and rebinds the views (a
+        point write has rebuilt its view); pinned sessions are untouched."""
         op = DeltaOp(kind, **fields)
-        self.delta_epoch = self.overlay.append(op)
+        self.log.append(op)
         if op.is_edge_op:
-            self.store = OverlayGraphStore(
-                self._base_store, self.overlay.edge_ops_at(self.delta_epoch)
-            )
-        self._rebind_views()
+            self.store = self.log.store()
+            self._rebind_views()
         self.generation += 1
         if self.needs_compaction:
             self.compact()
 
     def _require_writable(self) -> None:
-        if self._time_travel:
-            raise QueryError("time-travel sessions are read-only")
+        self.log.require_head()
 
     def _require_base_network(self, what: str) -> None:
-        if self.overlay.edge_op_count:
+        pending = len(self.log.edge_ops())
+        if pending:
             raise QueryError(
-                f"{what}() needs the CSR base: {self.overlay.edge_op_count} "
+                f"{what}() needs the CSR base: {pending} "
                 "edge delta(s) pending -- compact() first"
             )
 

@@ -1,29 +1,23 @@
-"""LSM-style delta overlay over an immutable CSR base generation.
-
-The compact backend's mutation story used to be "swap the world":
-every point insertion/deletion rebound the facade's view, and the
-serve tier drained all in-flight batches through its
-writer-preferring gate before letting the write land.  This module
-replaces that with the append-mostly design the streaming RkNN
-setting wants:
+"""LSM-style delta log over an immutable CSR base generation.
 
 * the CSR arrays stay **immutable** -- they are the *base
   generation*;
-* every mutation is appended to a :class:`DeltaOverlay` log as a
+* every mutation is appended to the :class:`DeltaLog` as a
   :class:`DeltaOp` (point insert/delete, edge insert/delete), bumping
   the *delta epoch* (the number of appended operations);
-* readers pin a ``(base_generation, delta_epoch)`` **stamp**:
-  a snapshot is the base arrays plus a log prefix, so appends never
-  invalidate -- let alone drain -- a running query;
+* readers pin a ``(base_generation, delta_epoch)`` **stamp**
+  (:meth:`DeltaLog.at`): a snapshot is the base arrays plus a log
+  prefix, so appends never invalidate -- let alone drain -- a running
+  query;
 * :class:`OverlayGraphStore` is the thin merged-view shim: it speaks
   the same store protocol as
   :class:`~repro.compact.store.CompactGraphStore` (``num_nodes``,
   ``num_edges``, ``page_of``, ``neighbors``) while replaying the
   pending *edge* operations over the base adjacency on demand;
-* compaction (:meth:`~repro.compact.db.CompactDatabase.compact`)
-  folds the log into a fresh CSR base, bumps the base generation and
-  resets the epoch to zero -- the only moment that behaves like the
-  old swap.
+* the fold (:meth:`DeltaLog.fold`, behind
+  :meth:`~repro.compact.db.CompactDatabase.compact`) flattens the
+  merged view into a fresh CSR base, bumps the base generation and
+  resets the epoch to zero.
 
 **Answer identity.**  Heap tie-breaking -- and therefore every RkNN
 answer -- depends on adjacency *order*.  The merged view reproduces
@@ -39,9 +33,14 @@ epoch -- the property suite in
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
+from repro.compact.csr import CSRGraph
+from repro.compact.snapshot import CSRGraphAdapter
+from repro.compact.store import CompactGraphStore
 from repro.errors import QueryError, StorageError
+from repro.graph.partition import bfs_order
 from repro.points.points import NodePointSet
 
 #: Operation kinds a delta log may hold.
@@ -53,7 +52,7 @@ EDGE_KINDS = ("insert-edge", "delete-edge")
 
 @dataclass(frozen=True)
 class DeltaOp:
-    """One appended mutation in a :class:`DeltaOverlay` log.
+    """One appended mutation in a :class:`DeltaLog`.
 
     Point operations carry ``pid``/``node``; edge operations carry
     ``u``/``v`` (and ``weight`` for insertions).  Instances are frozen:
@@ -90,116 +89,130 @@ class DeltaOp:
         return self.kind in EDGE_KINDS
 
 
-class DeltaOverlay:
-    """Append-only mutation log over an immutable point/network base.
+class DeltaLog:
+    """The compact backend's write history over an immutable base.
 
-    The overlay is the write side of the compact backend's LSM pair:
-    the base (CSR arrays + the point set at the last compaction) is
-    immutable, and every mutation lands here as an appended
-    :class:`DeltaOp`.  The log length is the **delta epoch**; a log
-    prefix of length ``e`` names the exact database state after the
-    first ``e`` mutations, which is what time-travel sessions
-    (``at_epoch``) and snapshot replay in the test battery rely on.
+    The base generation -- the CSR store, the graph and the point set
+    at the last fold -- never changes; every write is appended as a
+    :class:`DeltaOp`.  The log length is the **delta epoch**, and the
+    prefix of length ``e`` names the exact state after the first ``e``
+    writes: :meth:`at` pins it, :meth:`points` and :meth:`store`
+    replay it.  A pinned log shares the head's base and operation list
+    (constant-time) and refuses appends and folds.
 
     Parameters
     ----------
-    base_points:
-        The point set at the base generation (epoch 0).
+    store / graph / points:
+        The base CSR store, network and point set (epoch 0).
+    threshold:
+        Auto-compaction trigger (see :attr:`needs_fold`); ``None``
+        leaves folds to explicit calls.
     """
 
-    def __init__(self, base_points: NodePointSet):
-        self.base_points = base_points
+    def __init__(self, store, graph, points: NodePointSet, *,
+                 threshold: int | None = None):
+        if threshold is not None and threshold < 1:
+            raise QueryError(f"compact_threshold must be >= 1, got {threshold}")
+        self.base_store = store
+        self.base_graph = graph
+        self.base_points = points
+        #: Base generation: bumped by every fold, and by the facade when
+        #: an input outside the log changes (the bichromatic reference set).
+        self.generation = 0
+        self.threshold = threshold
+        # append-only until a fold rebinds it, so pinned logs share it
         self._ops: list[DeltaOp] = []
-        self._edge_ops = 0
-        self._edge_inserts = 0
+        self._pin: int | None = None
 
     @property
     def epoch(self) -> int:
-        """The delta epoch: number of operations appended so far."""
-        return len(self._ops)
+        """The delta epoch: operations appended since the last fold."""
+        return len(self._ops) if self._pin is None else self._pin
 
     @property
-    def edge_op_count(self) -> int:
-        """How many of the appended operations are edge operations."""
-        return self._edge_ops
+    def stamp(self) -> tuple[int, int]:
+        """``(base_generation, delta_epoch)``: the state this log names."""
+        return (self.generation, self.epoch)
 
     @property
-    def has_edge_inserts(self) -> bool:
-        """Whether any pending operation inserts an edge.
+    def needs_fold(self) -> bool:
+        """Whether the log holds ``threshold`` operations or more."""
+        return self.threshold is not None and self.epoch >= self.threshold
 
-        Edge insertions can *shrink* network distances, which breaks
-        the admissibility of landmark lower bounds computed on the
-        base -- the facade detaches its oracle exactly when this turns
-        true.  Deletions only grow distances, so base bounds stay
-        admissible under them.
-        """
-        return self._edge_inserts > 0
-
-    def append(self, op: DeltaOp) -> int:
-        """Append one operation; return the new epoch.
-
-        Parameters
-        ----------
-        op:
-            The validated operation (the facade validates against the
-            merged head state *before* appending).
-
-        Returns
-        -------
-        int
-            The epoch after the append (``old epoch + 1``).
-        """
-        self._ops.append(op)
-        if op.is_edge_op:
-            self._edge_ops += 1
-            if op.kind == "insert-edge":
-                self._edge_inserts += 1
-        return len(self._ops)
-
-    def ops_at(self, epoch: int) -> tuple[DeltaOp, ...]:
-        """The log prefix naming state ``epoch``.
-
-        Parameters
-        ----------
-        epoch:
-            A value in ``0 .. self.epoch``.
-
-        Returns
-        -------
-        tuple[DeltaOp, ...]
-        """
-        if not 0 <= epoch <= len(self._ops):
+    def at(self, epoch: int) -> "DeltaLog":
+        """A read-only log pinned at ``epoch``, in ``0 .. self.epoch``."""
+        if not 0 <= epoch <= self.epoch:
             raise QueryError(
                 f"epoch {epoch} out of range (log holds epochs "
-                f"0..{len(self._ops)})"
+                f"0..{self.epoch})"
             )
-        return tuple(self._ops[:epoch])
+        pinned = copy.copy(self)
+        pinned._pin = epoch
+        return pinned
 
-    def edge_ops_at(self, epoch: int) -> tuple[DeltaOp, ...]:
-        """The edge operations within the prefix of length ``epoch``."""
-        return tuple(op for op in self.ops_at(epoch) if op.is_edge_op)
+    def require_head(self) -> None:
+        """Raise :class:`~repro.errors.QueryError` on a pinned log."""
+        if self._pin is not None:
+            raise QueryError(f"sessions pinned at {self.stamp} are read-only")
 
-    def points_at(self, epoch: int) -> NodePointSet:
-        """Replay the point set as of ``epoch``.
+    def append(self, op: DeltaOp) -> int:
+        """Append one operation, validated by the caller; return the
+        new epoch."""
+        self.require_head()
+        self._ops.append(op)
+        return len(self._ops)
 
-        Parameters
-        ----------
-        epoch:
-            A value in ``0 .. self.epoch``; 0 is the base point set.
+    def ops(self) -> list[DeltaOp]:
+        """The operations up to this log's epoch, in append order."""
+        return self._ops[:self.epoch]
 
-        Returns
-        -------
-        NodePointSet
-            A fresh set: the base placement with the prefix's point
-            insertions/deletions applied in order.
-        """
+    def edge_ops(self) -> list[DeltaOp]:
+        """The edge operations up to this log's epoch."""
+        return [op for op in self.ops() if op.is_edge_op]
+
+    def points(self) -> NodePointSet:
+        """The base points with this log's point operations applied."""
         placement = dict(self.base_points.items())
-        for op in self.ops_at(epoch):
+        for op in self.ops():
             if op.kind == "insert-point":
                 placement[op.pid] = op.node
             elif op.kind == "delete-point":
                 del placement[op.pid]
         return NodePointSet(placement)
+
+    def store(self):
+        """The base store, or the merged view of this log's edge
+        operations over it."""
+        edge_ops = self.edge_ops()
+        if not edge_ops:
+            return self.base_store
+        return OverlayGraphStore(self.base_store, edge_ops)
+
+    def fold(self) -> int:
+        """Make the head state the new base; return the operations folded.
+
+        Edge operations flatten the merged view's lists into new CSR
+        arrays (adjacency order, and so every answer, unchanged), under
+        a :class:`~repro.compact.snapshot.CSRGraphAdapter` whose BFS
+        order is the new locality rank; a point-only log keeps the
+        arrays.  A non-empty fold bumps the generation and restarts
+        the epoch at 0; an empty one changes nothing.
+        """
+        self.require_head()
+        folded = len(self._ops)
+        if folded:
+            store = self.store()
+            if store is not self.base_store:
+                csr = CSRGraph([store.neighbors(v)
+                                for v in range(store.num_nodes)])
+                self.base_graph = CSRGraphAdapter(
+                    csr, coords=self.base_graph.coords)
+                self.base_store = CompactGraphStore(
+                    csr=csr, order=bfs_order(self.base_graph))
+            self.base_points = self.points()
+            self._ops = []
+            self.generation += 1
+        return folded
 
 
 class OverlayGraphStore:
@@ -227,7 +240,7 @@ class OverlayGraphStore:
         The immutable :class:`~repro.compact.store.CompactGraphStore`.
     edge_ops:
         The pending edge operations, in append order (a
-        :meth:`DeltaOverlay.edge_ops_at` prefix).
+        :meth:`DeltaLog.edge_ops` prefix).
     """
 
     def __init__(self, base, edge_ops):

@@ -18,9 +18,9 @@ flattest format that will carry it:
 so N worker processes loading the same snapshot share one set of
 physical pages -- ``read_clone`` made zero-copy *across* processes,
 which is what the serve fleet (:mod:`repro.serve.fleet`) boots its
-workers from.  The graph protocol over a loaded snapshot is served by
-:class:`CSRGraphAdapter`; only the rare edge-mutation and compaction
-paths ever pay to reconstruct an edge list from it.
+workers from.  The graph protocol over a loaded snapshot -- and over
+a base that :meth:`~repro.compact.db.CompactDatabase.compact` folded
+edge operations into -- is served by :class:`CSRGraphAdapter`.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ class CSRGraphAdapter:
     one would cost O(E) and defeat the constant-time mmap load.  This
     adapter serves the protocol straight off the kernel instead:
     counts, adjacency and degrees are direct array reads, and
-    ``edges()`` -- needed only by the rare edge-mutation and
-    compaction paths -- reconstructs a consistent global edge order
-    lazily, once.
+    ``edges()`` reconstructs a consistent global edge order lazily,
+    once.
     """
 
     def __init__(self, csr: CSRGraph, coords=None):
@@ -139,7 +138,7 @@ def save_snapshot(db, path) -> Path:
     db._require_base_network("save_snapshot")
     root = Path(os.fspath(path))
     root.mkdir(parents=True, exist_ok=True)
-    store = db._base_store
+    store = db.store
     store.csr.save(root / _GRAPH_FILE)
     order = [0] * store.num_nodes
     for node, position in enumerate(store._rank):
@@ -188,6 +187,7 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
         at stamp ``(0, 0)``.
     """
     from repro.compact.db import CompactDatabase
+    from repro.compact.overlay import DeltaLog
     from repro.compact.store import CompactGraphStore
     from repro.points.points import NodePointSet
 
@@ -215,5 +215,5 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
     db._rebuild_view()
     if compact_threshold is None:
         compact_threshold = meta.get("compact_threshold")
-    db._init_overlay(compact_threshold)
+    db.log = DeltaLog(db.store, db.graph, points, threshold=compact_threshold)
     return db

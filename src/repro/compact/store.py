@@ -22,6 +22,7 @@ charging, so ``eager-m`` and its update maintenance run unchanged.
 
 from __future__ import annotations
 
+import copy
 from typing import Mapping, Sequence
 
 from repro.compact.csr import CSRDiGraph, CSRGraph
@@ -190,7 +191,8 @@ class MemoryKnnStore:
     per-node entry tuples in ascending distance order -- minus the
     pages and the charging, so
     :class:`~repro.core.materialize.MaterializedKNN` maintenance runs
-    unchanged over it.
+    unchanged over it.  :meth:`share` hands a session the same table,
+    copied on write.
     """
 
     def __init__(
@@ -208,6 +210,14 @@ class MemoryKnnStore:
             tuple((int(pid), float(dist)) for pid, dist in lists.get(v, ()))
             for v in range(num_nodes)
         ]
+        # another store may read _lists: copy before the next put
+        self._shared = False
+
+    def share(self) -> "MemoryKnnStore":
+        """A second store over the same list table, in constant time;
+        whichever of the two writes first copies the table."""
+        self._shared = True
+        return copy.copy(self)
 
     def get(self, node: int) -> tuple[tuple[int, float], ...]:
         """Materialized list of ``node`` (free read)."""
@@ -216,7 +226,8 @@ class MemoryKnnStore:
         return self._lists[node]
 
     def put(self, node: int, entries: Sequence[tuple[int, float]]) -> None:
-        """Replace ``node``'s list in place (free write)."""
+        """Replace ``node``'s list (free write; copies a shared table
+        first)."""
         if len(entries) > self.capacity:
             raise StorageError(
                 f"list for node {node} has {len(entries)} entries, "
@@ -224,6 +235,9 @@ class MemoryKnnStore:
             )
         if not 0 <= node < self.num_nodes:
             raise StorageError(f"node {node} out of range")
+        if self._shared:
+            self._lists = list(self._lists)
+            self._shared = False
         self._lists[node] = tuple(
             (int(pid), float(dist)) for pid, dist in entries
         )

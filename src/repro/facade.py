@@ -22,17 +22,19 @@ storage hooks:
   ``_label_store`` overrides that keep them in memory;
 * ``_landmark_distances(source)`` -- one landmark's distance table
   (default: a charged Dijkstra over ``disk``);
-* ``read_clone()`` and ``clear_buffer()``.
+* ``read_clone()`` and ``clear_buffer()`` (paged stores hand a clone
+  its own buffer with :func:`~repro.storage.buffer.rebuffered`).
 
 Storage that charges I/O outside the facade's tracker overrides
-``_measure`` / ``_folded`` / ``reset_stats`` (the sharded store), and
-storage that logs its writes overrides ``_require_writable`` /
-``_log_write`` (the compact delta overlay).
+``_measure`` / ``_folded`` / ``reset_stats`` (the sharded store).
+Storage that logs its writes overrides ``_require_writable``, which
+refuses writes to pinned sessions, and ``_log_write``, which appends
+each write to its log and bumps ``generation`` (the compact
+:class:`~repro.compact.overlay.DeltaLog`).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import AbstractSet, Sequence
 
@@ -73,6 +75,7 @@ from repro.oracle import (
     store_landmark_distances,
 )
 from repro.points.points import EdgePointSet, NodePointSet, PointSet
+from repro.storage.buffer import rebuffered
 from repro.storage.disk import KnnListStore
 from repro.storage.stats import CostTracker
 
@@ -101,18 +104,6 @@ _UNRESTRICTED_RKNN = {
     "lazy-ep": unrestricted.unrestricted_lazy_ep,
     "eager-m": unrestricted.unrestricted_eager_m,
 }
-
-
-def rebuffered(store, buffer):
-    """A shallow copy of a paged ``store`` reading through ``buffer``.
-
-    ``None`` passes through, so optional side files clone in one call.
-    """
-    if store is None:
-        return None
-    clone = copy.copy(store)
-    clone.buffer = buffer
-    return clone
 
 
 class FacadeBase:

@@ -143,8 +143,11 @@ class WorkerLane(Lane):
             reply = self.conn.recv()
         except (EOFError, OSError) as exc:
             self.alive = False
+            # chain the pipe error without its traceback: those frames
+            # hold a view of the pickle buffer Connection.send allocated
             raise WorkerDied(
-                f"worker {self.index} died mid-call: {exc!r}") from exc
+                f"worker {self.index} died mid-call: {exc!r}"
+            ) from exc.with_traceback(None)
         if reply.get("kind") == "error":
             raise ReproError(reply["message"])
         return reply

@@ -38,7 +38,7 @@ from repro.errors import StorageError
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.shard.partition import ShardPlan, cut_digraph, cut_graph
-from repro.storage.buffer import BufferManager
+from repro.storage.buffer import BufferManager, rebuffered
 from repro.storage.disk import DiskGraph
 from repro.storage.disk_directed import DiskDiGraph
 from repro.storage.page import DEFAULT_PAGE_SIZE
@@ -127,11 +127,8 @@ class _ShardBase:
         clone = copy.copy(self)
         clone.tracker = CostTracker()
         clone.buffer = BufferManager(self.buffer.capacity_pages, clone.tracker)
-        clone.disk = self._clone_disk(clone.buffer)
+        clone.disk = rebuffered(self.disk, clone.buffer)
         return clone
-
-    def _clone_disk(self, buffer: BufferManager):
-        raise NotImplementedError  # pragma: no cover - subclass duty
 
 
 class GraphShard(_ShardBase):
@@ -185,11 +182,6 @@ class GraphShard(_ShardBase):
     def neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Full adjacency of ``node`` in global ids, original order."""
         return self._stitched(self.disk.neighbors, self.boundary, node)
-
-    def _clone_disk(self, buffer: BufferManager) -> DiskGraph:
-        disk = copy.copy(self.disk)
-        disk.buffer = buffer
-        return disk
 
 
 class DirectedGraphShard(_ShardBase):
@@ -247,14 +239,6 @@ class DirectedGraphShard(_ShardBase):
     def in_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Incoming arcs of ``node`` in global ids, original order."""
         return self._stitched(self.disk.in_neighbors, self.boundary_in, node)
-
-    def _clone_disk(self, buffer: BufferManager) -> DiskDiGraph:
-        disk = copy.copy(self.disk)
-        disk._forward = copy.copy(self.disk._forward)
-        disk._forward.buffer = buffer
-        disk._backward = copy.copy(self.disk._backward)
-        disk._backward.buffer = buffer
-        return disk
 
 
 class _ShardedStoreBase:

@@ -13,6 +13,7 @@ pool where a pinned frame is used directly.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -20,6 +21,27 @@ from repro.errors import StorageError
 from repro.storage.stats import CostTracker
 
 PageKey = Hashable
+
+
+def rebuffered(store, buffer):
+    """A shallow copy of a paged ``store`` reading through ``buffer``.
+
+    A :class:`~repro.storage.disk_directed.DiskDiGraph` is copied with
+    both of its direction files, so the parent's files keep their
+    buffer.  ``None`` passes through, so optional side files clone in
+    one call.
+    """
+    from repro.storage.disk_directed import DiskDiGraph
+
+    if store is None:
+        return None
+    clone = copy.copy(store)
+    if isinstance(store, DiskDiGraph):
+        clone._forward = rebuffered(store._forward, buffer)
+        clone._backward = rebuffered(store._backward, buffer)
+    else:
+        clone.buffer = buffer
+    return clone
 
 
 class BufferManager:

@@ -256,3 +256,34 @@ class TestCompactDirected:
         # knn is unvalidated on every backend: the store rejects the node
         with pytest.raises(StorageError, match="out of range"):
             db.knn(graph.num_nodes, 1)
+
+
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["undirected", "directed"])
+def test_read_clone_pins_materialized_lists(directed):
+    """A clone answers ``eager-m`` from the K-NN lists it pinned while
+    the head inserts points: the head copies the shared table at its
+    first write, and ``read_clone`` itself copies nothing."""
+    rng = random.Random(5)
+    for _ in range(8):
+        graph = build_random_graph(rng, 40, 30)
+        cls = CompactDatabase
+        if directed:
+            arcs = [(u, v, w) for u, v, w in graph.edges()]
+            arcs += [(v, u, w + 1.0) for u, v, w in graph.edges()
+                     if rng.random() < 0.5]
+            graph = DiGraph.from_arcs(arcs, num_nodes=40)
+            cls = CompactDirectedDatabase
+        nodes = rng.sample(range(40), 10)
+        db = cls(graph, NodePointSet(dict(enumerate(nodes[:8]))))
+        db.materialize(4)
+        clone = db.read_clone()
+        assert clone.materialized.store._lists is db.materialized.store._lists
+        queries = rng.sample(range(40), 14)
+        before = [clone.rknn(q, 2, method="eager-m").points for q in queries]
+        db.insert_point(100, nodes[8])
+        db.insert_point(101, nodes[9])
+        assert [clone.rknn(q, 2, method="eager-m").points
+                for q in queries] == before
+        assert [db.rknn(q, 2, method="eager-m").points for q in queries] == \
+            [db.rknn(q, 2).points for q in queries]

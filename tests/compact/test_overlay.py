@@ -3,7 +3,7 @@
 The property suite (``test_overlay_properties.py``) proves the big
 invariant -- overlay answers are bitwise identical to a from-scratch
 rebuild at every epoch.  This file pins the mechanism: log bookkeeping,
-merged-adjacency replay, snapshot pinning of clones, compaction
+merged-adjacency replay, snapshot pinning of sessions, compaction
 semantics, fast-path gating and the validation/error surface.
 """
 
@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import CompactDatabase, NodePointSet, QuerySpec
-from repro.compact.overlay import DeltaOp, DeltaOverlay, OverlayGraphStore
+from repro.compact.overlay import DeltaLog, DeltaOp, OverlayGraphStore
 from repro.compact.store import CompactGraphStore
 from repro.errors import QueryError, StorageError
 from repro.graph.graph import Graph
@@ -37,7 +37,11 @@ def free_node(graph, points, skip=0):
     return [n for n in range(graph.num_nodes) if n not in taken][skip]
 
 
-# -- DeltaOp / DeltaOverlay ----------------------------------------------
+# -- DeltaOp / DeltaLog ---------------------------------------------------
+
+
+def new_log(graph, points):
+    return DeltaLog(CompactGraphStore(graph), graph, points)
 
 
 def test_delta_op_rejects_unknown_kind():
@@ -46,41 +50,57 @@ def test_delta_op_rejects_unknown_kind():
 
 
 def test_overlay_log_bookkeeping(setup):
-    _, points = setup
-    overlay = DeltaOverlay(points)
-    assert overlay.epoch == 0
-    assert overlay.edge_op_count == 0
-    assert not overlay.has_edge_inserts
-    assert overlay.append(DeltaOp("insert-point", pid=50, node=1)) == 1
-    assert overlay.append(DeltaOp("delete-edge", u=0, v=1)) == 2
-    assert overlay.append(DeltaOp("insert-edge", u=2, v=9, weight=1.5)) == 3
-    assert overlay.epoch == 3
-    assert overlay.edge_op_count == 2
-    assert overlay.has_edge_inserts
-    assert [op.kind for op in overlay.edge_ops_at(2)] == ["delete-edge"]
-    assert len(overlay.ops_at(0)) == 0
+    graph, points = setup
+    log = new_log(graph, points)
+    assert log.epoch == 0
+    assert log.edge_ops() == []
+    assert log.append(DeltaOp("insert-point", pid=50, node=1)) == 1
+    assert log.append(DeltaOp("delete-edge", u=0, v=1)) == 2
+    assert log.append(DeltaOp("insert-edge", u=2, v=9, weight=1.5)) == 3
+    assert log.epoch == 3
+    assert len(log.edge_ops()) == 2
+    assert [op.kind for op in log.at(2).edge_ops()] == ["delete-edge"]
+    assert len(log.at(0).ops()) == 0
 
 
 def test_overlay_points_replay(setup):
-    _, points = setup
-    overlay = DeltaOverlay(points)
+    graph, points = setup
+    log = new_log(graph, points)
     some_pid = next(iter(dict(points.items())))
-    overlay.append(DeltaOp("insert-point", pid=77, node=3))
-    overlay.append(DeltaOp("delete-point", pid=some_pid))
-    assert dict(overlay.points_at(0).items()) == dict(points.items())
-    at_one = dict(overlay.points_at(1).items())
+    log.append(DeltaOp("insert-point", pid=77, node=3))
+    log.append(DeltaOp("delete-point", pid=some_pid))
+    assert dict(log.at(0).points().items()) == dict(points.items())
+    at_one = dict(log.at(1).points().items())
     assert at_one[77] == 3 and some_pid in at_one
-    at_two = dict(overlay.points_at(2).items())
+    at_two = dict(log.at(2).points().items())
     assert some_pid not in at_two and at_two[77] == 3
 
 
 def test_overlay_epoch_out_of_range(setup):
-    _, points = setup
-    overlay = DeltaOverlay(points)
+    graph, points = setup
+    log = new_log(graph, points)
     with pytest.raises(QueryError, match="epoch 1 out of range"):
-        overlay.points_at(1)
+        log.at(1)
     with pytest.raises(QueryError, match="out of range"):
-        overlay.ops_at(-1)
+        log.at(-1)
+
+
+def test_pinned_log_keeps_its_prefix_and_refuses_writes(setup):
+    graph, points = setup
+    log = new_log(graph, points)
+    log.append(DeltaOp("insert-point", pid=50, node=1))
+    pinned = log.at(1)
+    log.append(DeltaOp("insert-edge", u=2, v=9, weight=1.5))
+    log.fold()
+    assert pinned.stamp == (0, 1) and log.stamp == (1, 0)
+    assert pinned.store() is pinned.base_store
+    assert dict(pinned.points().items())[50] == 1
+    with pytest.raises(QueryError, match="epoch 2 out of range"):
+        pinned.at(2)
+    for call in (lambda: pinned.append(DeltaOp("delete-point", pid=50)),
+                 pinned.fold):
+        with pytest.raises(QueryError, match="read-only"):
+            call()
 
 
 # -- OverlayGraphStore ----------------------------------------------------
@@ -172,6 +192,58 @@ def test_read_clone_pins_snapshot_across_append_and_compaction(setup):
     assert clone.stamp == (0, 0)
     assert clone.rknn(5, 2).points == before
     assert db.rknn(5, 2).points != before or db.stamp == (1, 0)
+
+
+def test_clone_cannot_time_travel_past_its_pin(setup):
+    graph, points = setup
+    db = CompactDatabase(graph, points)
+    db.insert_point(50, free_node(graph, points))
+    clone = db.read_clone()
+    assert clone.stamp == (0, 1)
+    db.insert_point(51, free_node(graph, points, 1))
+    db.insert_point(52, free_node(graph, points, 2))
+    with pytest.raises(QueryError, match="out of range"):
+        clone.at_epoch(3)
+    session = clone.at_epoch(1)
+    assert session.stamp == (0, 1)
+    assert {50, 51, 52} & set(session.points.ids()) == {50}
+
+
+def test_writes_through_a_clone_are_refused(setup):
+    graph, points = setup
+    db = CompactDatabase(graph, points)
+    clone = db.read_clone()
+    u, v, _ = next(iter(graph.edges()))
+    for call in (
+        lambda: clone.insert_point(50, free_node(graph, points)),
+        lambda: clone.delete_point(0),
+        lambda: clone.insert_edge(0, 29, 1.0),
+        lambda: clone.delete_edge(u, v),
+        clone.compact,
+    ):
+        with pytest.raises(QueryError, match="read-only"):
+            call()
+    db.insert_point(51, free_node(graph, points, 1))
+    assert db.stamp == (0, 1) and clone.stamp == (0, 0)
+    assert 50 not in set(db.at_epoch(1).points.ids())
+
+
+def test_sessions_on_a_clean_base_keep_the_base(setup, tmp_path):
+    graph, points = setup
+    db = CompactDatabase(graph, points)
+    before = [db.rknn(q, 2).points for q in range(0, graph.num_nodes, 3)]
+    sessions = [db.at_epoch(0), db.read_clone()]
+    db.insert_edge(0, 29, 1.0)
+    for i, session in enumerate(sessions):
+        path = session.save_snapshot(tmp_path / str(i))
+        assert session.build_oracle(2).landmarks
+        loaded = CompactDatabase.load_snapshot(path)
+        assert [loaded.rknn(q, 2).points
+                for q in range(0, graph.num_nodes, 3)] == before
+    for call in (lambda: db.save_snapshot(tmp_path / "head"),
+                 lambda: db.build_oracle(2)):
+        with pytest.raises(QueryError, match="1 edge delta"):
+            call()
 
 
 def test_at_epoch_replays_each_state(setup):
@@ -334,9 +406,11 @@ def test_compaction_with_edge_ops_matches_overlay_bitwise(setup):
     db.compact()
     compacted_answers = [db.rknn(q, 2).points for q in range(graph.num_nodes)]
     assert compacted_answers == overlay_answers
-    # the rebuilt base reproduces the merged adjacency order exactly
+    # the folded base reproduces the merged edge sequence's adjacency
+    # order exactly: base order minus deletions, insertions appended
+    rebuilt = Graph(graph.num_nodes, edges[1:] + [(3, 27, 2.5)])
     for node in range(graph.num_nodes):
-        assert db.store.csr.neighbors(node) == tuple(db.graph.neighbors(node))
+        assert db.store.csr.neighbors(node) == tuple(rebuilt.neighbors(node))
 
 
 def test_attach_reference_moves_the_base_stamp(setup):
