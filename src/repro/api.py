@@ -21,7 +21,7 @@ storage under it.
 from __future__ import annotations
 
 import copy
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 from repro.core import baseline
 from repro.core.in_route import RouteStop, in_route_knn
@@ -96,16 +96,6 @@ class GraphDatabase(UndirectedFacade):
         if isinstance(points, EdgePointSet):
             self._edge_store = self._edge_points(points)
         self._rebuild_view()
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int, float]],
-        points: PointSet | None = None,
-        **kwargs,
-    ) -> "GraphDatabase":
-        """Build a database straight from an edge list."""
-        return cls(Graph.from_edges(edges), points, **kwargs)
 
     # -- storage ------------------------------------------------------------
 

@@ -19,7 +19,6 @@ update maintenance); this module holds the disk storage under it::
 from __future__ import annotations
 
 import copy
-from typing import Iterable
 
 from repro.errors import QueryError
 from repro.facade import DIRECTED_METHODS as METHODS, DirectedFacade
@@ -63,16 +62,6 @@ class DirectedGraphDatabase(DirectedFacade):
             point_nodes=frozenset(node for _, node in points.items()),
         )
         self._rebuild_view()
-
-    @classmethod
-    def from_arcs(
-        cls,
-        arcs: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "DirectedGraphDatabase":
-        """Build a database straight from an arc list."""
-        return cls(DiGraph.from_arcs(arcs), points, **kwargs)
 
     # -- storage ------------------------------------------------------------
 

@@ -25,7 +25,6 @@ session without copying the graph (``backend="compact"`` mode).
 from __future__ import annotations
 
 import copy
-from typing import Iterable
 
 from repro.compact.batch import (
     AggregateRequest,
@@ -290,30 +289,6 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
                             threshold=compact_threshold)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "CompactDatabase":
-        """Build a compact database straight from an edge list.
-
-        Parameters
-        ----------
-        edges:
-            ``(u, v, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor (``node_order``).
-
-        Returns
-        -------
-        CompactDatabase
-        """
-        return cls(Graph.from_edges(edges), points, **kwargs)
 
     @classmethod
     def from_database(cls, db) -> "CompactDatabase":
@@ -701,30 +676,6 @@ class CompactDirectedDatabase(_CompactStorage, DirectedFacade):
         self._init_state(graph, points)
         self.store = CompactDiGraphStore(graph)
         self._rebuild_view()
-
-    @classmethod
-    def from_arcs(
-        cls,
-        arcs: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "CompactDirectedDatabase":
-        """Build a compact directed database straight from an arc list.
-
-        Parameters
-        ----------
-        arcs:
-            ``(tail, head, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor.
-
-        Returns
-        -------
-        CompactDirectedDatabase
-        """
-        return cls(DiGraph.from_arcs(arcs), points, **kwargs)
 
     @classmethod
     def from_database(cls, db) -> "CompactDirectedDatabase":

@@ -34,21 +34,27 @@ nothing about ``d(m -> p)``, so discovered points cannot prune the
 backward traversal.  The module therefore provides ``eager``,
 ``eager-m`` (whose verification collapses to a single list read) and
 the ``naive`` full backward sweep as the baseline.
+
+Only those three traversals are directed code.  An undirected edge is
+an arc in both directions, so the forward probes are the shared ones of
+:mod:`repro.core.nn` and the forward K-NN lists are built and
+maintained by :mod:`repro.core.materialize`, both run over a
+:class:`DirectedView`: its ``neighbors`` are out-arcs and its
+``in_neighbors`` in-arcs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from typing import AbstractSet
 
 from repro.core.materialize import MaterializedKNN
-from repro.core.numeric import inflate_bound, strictly_less
+from repro.core.network import NetworkView
+from repro.core.nn import range_nn, verify
+from repro.core.numeric import strictly_less
 from repro.core.pq import CountingHeap
 from repro.errors import QueryError
 from repro.points.points import NodePointSet
-from repro.storage.disk_directed import DiskDiGraph
-from repro.storage.stats import CostTracker
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -56,156 +62,25 @@ _EMPTY: frozenset[int] = frozenset()
 METHODS = ("eager", "eager-m", "naive")
 
 
-class DirectedView:
-    """Query-time access to a disk-resident directed network."""
+class DirectedView(NetworkView):
+    """A :class:`~repro.core.network.NetworkView` whose out-arcs and
+    in-arcs differ.
 
-    def __init__(
-        self,
-        disk: DiskDiGraph,
-        points: NodePointSet,
-        tracker: CostTracker,
-    ):
-        self.disk = disk
-        self.points = points
-        self.tracker = tracker
+    ``neighbors`` are a node's out-arcs, so the shared probes
+    (:func:`~repro.core.nn.knn`, :func:`~repro.core.nn.range_nn`,
+    :func:`~repro.core.nn.verify`) measure forward distances
+    ``d(n -> x)``; ``in_neighbors`` are its in-arcs, along which the
+    backward traversals below and the K-NN list routines of
+    :mod:`repro.core.materialize` relax.  Points live on nodes.
+    """
 
-    @property
-    def num_nodes(self) -> int:
-        return self.disk.num_nodes
-
-    def out_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
+    def neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
+        """Out-arcs of ``node`` as ``(head, weight)`` pairs (charged)."""
         return self.disk.out_neighbors(node)
 
     def in_neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
+        """In-arcs of ``node`` as ``(tail, weight)`` pairs (charged)."""
         return self.disk.in_neighbors(node)
-
-    def point_at(self, node: int) -> int | None:
-        return self.points.point_at(node)
-
-    def node_of(self, pid: int) -> int:
-        return self.points.node_of(pid)
-
-
-def directed_knn(
-    view: DirectedView,
-    source: int,
-    k: int,
-    exclude: AbstractSet[int] = _EMPTY,
-) -> list[tuple[int, float]]:
-    """The k nearest points *from* ``source`` (ascending ``d(source -> x)``)."""
-    return directed_range_nn(view, source, k, math.inf, exclude)
-
-
-def directed_range_nn(
-    view: DirectedView,
-    source: int,
-    k: int,
-    radius: float,
-    exclude: AbstractSet[int] = _EMPTY,
-) -> list[tuple[int, float]]:
-    """Forward range-NN: up to ``k`` points with ``d(source -> x)``
-    strictly below ``radius``."""
-    view.tracker.range_nn_calls += 1
-    result: list[tuple[int, float]] = []
-    if k <= 0 or radius <= 0:
-        return result
-    heap = CountingHeap(view.tracker)
-    heap.push(0.0, source)
-    visited: set[int] = set()
-    while heap:
-        dist, node = heap.pop()
-        if node in visited:
-            continue
-        if not strictly_less(dist, radius):
-            break
-        visited.add(node)
-        view.tracker.nodes_visited += 1
-        pid = view.point_at(node)
-        if pid is not None and pid not in exclude:
-            result.append((pid, dist))
-            if len(result) == k:
-                break
-        neighbors = view.out_neighbors(node)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
-    return result
-
-
-def directed_verify(
-    view: DirectedView,
-    pid: int,
-    k: int,
-    query_node: int,
-    bound: float,
-    exclude: AbstractSet[int] = _EMPTY,
-) -> bool:
-    """Forward verification: is the query among ``p``'s k nearest
-    (by ``d(p -> .)``) points?  ``bound`` upper-bounds ``d(p -> q)``."""
-    view.tracker.verifications += 1
-    bound = inflate_bound(bound)
-    heap = CountingHeap(view.tracker)
-    heap.push(0.0, view.node_of(pid))
-    visited: set[int] = set()
-    point_dists: list[float] = []
-    while heap:
-        dist, node = heap.pop()
-        if node in visited:
-            continue
-        if dist > bound:
-            break
-        visited.add(node)
-        view.tracker.nodes_visited += 1
-        strictly_closer = bisect_left(point_dists, dist)
-        if node == query_node:
-            return strictly_closer < k
-        if strictly_closer >= k:
-            return False
-        other = view.point_at(node)
-        if other is not None and other != pid and other not in exclude:
-            insort(point_dists, dist)
-        neighbors = view.out_neighbors(node)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr not in visited:
-                ndist = dist + weight
-                if ndist <= bound:
-                    heap.push(ndist, nbr)
-    return False
-
-
-def directed_all_nn(
-    view: DirectedView,
-    capacity: int,
-) -> dict[int, list[tuple[int, float]]]:
-    """Materialize, per node ``n``, its ``capacity`` nearest points by
-    the *forward* distance ``d(n -> x)``.
-
-    A single multi-source **backward** expansion from every point
-    (incoming arcs relax ``d(n -> x) = w(n, m) + d(m -> x)``), the
-    directed counterpart of the paper's all-NN (Fig. 8).
-    """
-    heap = CountingHeap(view.tracker)
-    for pid, node in view.points.items():
-        heap.push(0.0, (node, pid))
-    lists: dict[int, list[tuple[int, float]]] = {}
-    closed: set[tuple[int, int]] = set()
-    while heap:
-        dist, (node, pid) = heap.pop()
-        if (node, pid) in closed:
-            continue
-        closed.add((node, pid))
-        entries = lists.setdefault(node, [])
-        if len(entries) >= capacity:
-            continue
-        entries.append((pid, dist))
-        neighbors = view.in_neighbors(node)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if (nbr, pid) not in closed and len(lists.get(nbr, ())) < capacity:
-                heap.push(dist + weight, (nbr, pid))
-    return lists
 
 
 def directed_rknn(
@@ -249,9 +124,9 @@ def _directed_eager(
         if pid is not None and pid not in exclude and pid not in checked:
             checked.add(pid)
             # dist is d(p -> q) (exact whenever p can qualify)
-            if directed_verify(view, pid, k, query_node, dist, exclude):
+            if verify(view, pid, k, (query_node,), dist, exclude):
                 result.append(pid)
-        closer = directed_range_nn(view, node, k, dist, exclude)
+        closer = range_nn(view, node, k, dist, exclude)
         if len(closer) >= k:
             # Directed Lemma 1: beyond this node, only the witnesses
             # themselves can still qualify (a point never counts
@@ -259,8 +134,8 @@ def _directed_eager(
             for wpid, _ in closer:
                 if wpid not in checked:
                     checked.add(wpid)
-                    if directed_verify(view, wpid, k, query_node,
-                                       math.inf, exclude):
+                    if verify(view, wpid, k, (query_node,), math.inf,
+                              exclude):
                         result.append(wpid)
             continue
         neighbors = view.in_neighbors(node)
@@ -338,7 +213,7 @@ def _witness_qualifies(
     raw = materialized.get(view.node_of(pid))
     others = [e for e in raw if e[0] != pid and e[0] not in exclude]
     bound = others[k - 1][1] if len(others) >= k else math.inf
-    return directed_verify(view, pid, k, query_node, bound, exclude)
+    return verify(view, pid, k, (query_node,), bound, exclude)
 
 
 def _list_verify(
@@ -364,7 +239,7 @@ def _list_verify(
     elif len(raw) < materialized.capacity:
         threshold = math.inf  # untruncated: fewer than k others exist
     else:
-        return directed_verify(view, pid, k, query_node, dist, exclude)
+        return verify(view, pid, k, (query_node,), dist, exclude)
     return not strictly_less(threshold, dist)
 
 
@@ -387,7 +262,7 @@ def _directed_naive(
         view.tracker.nodes_visited += 1
         pid = view.point_at(node)
         if pid is not None and pid not in exclude:
-            if directed_verify(view, pid, k, query_node, dist, exclude):
+            if verify(view, pid, k, (query_node,), dist, exclude):
                 result.append(pid)
         neighbors = view.in_neighbors(node)
         view.tracker.edges_expanded += len(neighbors)
@@ -440,113 +315,3 @@ def brute_force_directed_rknn(
         if strictly_closer < k:
             result.append(pid)
     return sorted(result)
-
-
-def directed_insert(
-    view: DirectedView,
-    materialized: MaterializedKNN,
-    pid: int,
-    node: int,
-) -> int:
-    """Propagate a new point into the forward K-NN lists.
-
-    Mirror image of the undirected insertion (Section 4.1): the new
-    point improves ``d(n -> p)``, which relaxes along *incoming* arcs.
-    Returns the number of updated nodes.
-    """
-    heap = CountingHeap(view.tracker)
-    heap.push(0.0, node)
-    visited: set[int] = set()
-    updated = 0
-    while heap:
-        dist, current = heap.pop()
-        if current in visited:
-            continue
-        visited.add(current)
-        view.tracker.nodes_visited += 1
-        entries = list(materialized.get(current))
-        if any(existing == pid for existing, _ in entries):
-            raise QueryError(f"point {pid} already materialized")
-        if len(entries) >= materialized.capacity and dist >= entries[-1][1]:
-            continue
-        insort(entries, (pid, dist), key=lambda item: item[1])
-        del entries[materialized.capacity:]
-        materialized.store.put(current, entries)
-        updated += 1
-        neighbors = view.in_neighbors(current)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
-    return updated
-
-
-def directed_delete(
-    view: DirectedView,
-    materialized: MaterializedKNN,
-    pid: int,
-    node: int,
-) -> int:
-    """Remove a point from the forward K-NN lists and refill them.
-
-    Mirror image of the undirected deletion (Fig. 10): step 1 expands
-    backwards from the deleted point's node, dropping it from every
-    affected list and stopping at border nodes; step 2 refills the
-    affected lists from the borders' entries and the affected nodes'
-    survivors, relaying along incoming arcs.  Returns the number of
-    affected nodes.
-    """
-    capacity = materialized.capacity
-    heap = CountingHeap(view.tracker)
-    heap.push(0.0, node)
-    visited: set[int] = set()
-    affected: dict[int, list[tuple[int, float]]] = {}
-    while heap:
-        dist, current = heap.pop()
-        if current in visited:
-            continue
-        visited.add(current)
-        view.tracker.nodes_visited += 1
-        entries = list(materialized.get(current))
-        survivors = [entry for entry in entries if entry[0] != pid]
-        if len(survivors) == len(entries):
-            continue  # border: list unchanged, do not expand
-        affected[current] = survivors
-        neighbors = view.in_neighbors(current)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
-
-    refill = CountingHeap(view.tracker)
-    for current, survivors in affected.items():
-        for other, dist in survivors:
-            refill.push(dist, (current, other))
-        neighbors = view.out_neighbors(current)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr in affected:
-                continue
-            for other, dist in materialized.get(nbr):
-                if other != pid:
-                    refill.push(dist + weight, (current, other))
-    closed: set[tuple[int, int]] = set()
-    while refill:
-        dist, (current, other) = refill.pop()
-        if (current, other) in closed:
-            continue
-        closed.add((current, other))
-        entries = affected[current]
-        known = any(existing == other for existing, _ in entries)
-        if not known:
-            if len(entries) >= capacity:
-                continue
-            entries.append((other, dist))
-        neighbors = view.in_neighbors(current)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr in affected and (nbr, other) not in closed:
-                refill.push(dist + weight, (nbr, other))
-    for current, entries in affected.items():
-        materialized.store.put(current, entries)
-    return len(affected)

@@ -11,6 +11,14 @@ Everything is expressed over *seeds* ``(node, point, distance)`` so the
 same code serves restricted networks (one seed: the point's node at
 distance 0) and unrestricted ones (two seeds: the edge endpoints at
 their direct offsets).
+
+A list holds distances *from* its node, ``d(n -> x)``.  A point's
+distance reaches ``n`` from a node ``m`` that ``n`` has an arc to
+(``d(n -> x) = w(n, m) + d(m -> x)``), so every expansion here relaxes
+along the view's ``in_neighbors``; the delete's refill seeds follow
+``neighbors``.  On an undirected view both are the adjacency list; on a
+:class:`~repro.core.directed.DirectedView` the same code maintains the
+directed network's forward lists.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ def all_nn(
     entry ``(d, node, point)`` means the point reaches the node at
     distance ``d``.  A node that already completed its list, or that
     the same point already visited, is ignored.  Each edge enters the
-    heap at most ``capacity`` times per direction.
+    heap at most ``capacity`` times per direction.  The expansion runs
+    backwards, along in-arcs (the adjacency list when undirected).
     """
     if capacity < 1:
         raise MaterializationError(f"K must be >= 1, got {capacity}")
@@ -57,7 +66,7 @@ def all_nn(
         if len(entries) >= capacity:
             continue
         entries.append((pid, dist))
-        neighbors = view.neighbors(node)
+        neighbors = view.in_neighbors(node)
         view.tracker.edges_expanded += len(neighbors)
         for nbr, weight in neighbors:
             if (nbr, pid) not in closed and len(lists.get(nbr, ())) < capacity:
@@ -73,6 +82,7 @@ class MaterializedKNN:
 
     @property
     def capacity(self) -> int:
+        """The lists' capacity ``K`` (the largest servable ``k``)."""
         return self.store.capacity
 
     @classmethod
@@ -132,7 +142,7 @@ class MaterializedKNN:
             del entries[self.capacity:]
             self.store.put(node, entries)
             updated += 1
-            neighbors = view.neighbors(node)
+            neighbors = view.in_neighbors(node)
             view.tracker.edges_expanded += len(neighbors)
             for nbr, weight in neighbors:
                 if nbr not in visited:
@@ -146,7 +156,9 @@ class MaterializedKNN:
         lists of all *affected* nodes; the expansion stops at *border*
         nodes (whose lists do not change).  Step 2 refills the affected
         lists by a constrained expansion seeded with the border nodes'
-        entries and the affected nodes' surviving entries.  Returns the
+        entries and the affected nodes' surviving entries: a border's
+        entries reach an affected node over its out-arc to the border,
+        and refilled entries relay back along in-arcs.  Returns the
         number of affected nodes.
         """
         capacity = self.capacity
@@ -167,7 +179,7 @@ class MaterializedKNN:
             if len(survivors) == len(entries):
                 continue  # border node: list unchanged, do not expand
             affected[node] = survivors
-            neighbors = view.neighbors(node)
+            neighbors = view.in_neighbors(node)
             view.tracker.edges_expanded += len(neighbors)
             for nbr, weight in neighbors:
                 if nbr not in visited:
@@ -198,7 +210,7 @@ class MaterializedKNN:
                 if len(entries) >= capacity:
                     continue  # full again: farther candidates are dominated
                 entries.append((other, dist))
-            neighbors = view.neighbors(node)
+            neighbors = view.in_neighbors(node)
             view.tracker.edges_expanded += len(neighbors)
             for nbr, weight in neighbors:
                 if nbr in affected and (nbr, other) not in closed:

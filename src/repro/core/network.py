@@ -9,6 +9,13 @@
   :class:`~repro.storage.disk.EdgePointStore` for unrestricted ones;
 * the shared :class:`~repro.storage.stats.CostTracker`.
 
+``neighbors`` are the arcs an expansion follows *out* of a node and
+``in_neighbors`` the arcs *into* it.  An undirected edge is an arc in
+both directions, so here the two are the same adjacency list;
+:class:`~repro.core.directed.DirectedView` tells them apart, and the
+probes of :mod:`repro.core.nn` and the K-NN list routines of
+:mod:`repro.core.materialize` serve both directions unchanged.
+
 Bichromatic queries build two views (one per point set) over the *same*
 disk graph and buffer, so both expansions share the cache exactly as a
 single system would.
@@ -59,11 +66,15 @@ class NetworkView:
 
     @property
     def num_nodes(self) -> int:
+        """Number of nodes of the network."""
         return self.disk.num_nodes
 
     def neighbors(self, node: int) -> tuple[tuple[int, float], ...]:
         """Adjacency list of ``node`` (charged through the buffer)."""
         return self.disk.neighbors(node)
+
+    #: Arcs into a node: on an undirected network, its adjacency list.
+    in_neighbors = neighbors
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of edge ``(u, v)``, found by reading ``u``'s adjacency list.
@@ -80,10 +91,12 @@ class NetworkView:
 
     @property
     def num_points(self) -> int:
+        """Number of data points in the view's point set."""
         points = self._node_points or self._edge_points
         return len(points) if points is not None else 0
 
     def point_ids(self) -> Iterable[int]:
+        """Ids of the view's data points."""
         points = self._node_points or self._edge_points
         return points.ids() if points is not None else ()
 

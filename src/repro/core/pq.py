@@ -39,12 +39,14 @@ class CountingHeap:
         return bool(self._entries)
 
     def push(self, distance: float, payload: Any) -> None:
+        """Insert ``payload`` at priority ``distance``."""
         if self._tracker is not None:
             self._tracker.heap_pushes += 1
         heapq.heappush(self._entries, (distance, self._seq, payload))
         self._seq += 1
 
     def pop(self) -> tuple[float, Any]:
+        """Remove and return the minimum entry as ``(distance, payload)``."""
         if self._tracker is not None:
             self._tracker.heap_pops += 1
         distance, _, payload = heapq.heappop(self._entries)

@@ -1,14 +1,24 @@
-"""Shared facades: the paper's queries written once per direction.
+"""Shared facades: the paper's queries written once for both directions.
 
 The six public databases -- disk, sharded and compact, each undirected
 and directed -- differ only in where adjacency lists, K-NN lists and
-landmark labels live.  Everything else is here, once: query
-validation, the eager / lazy / eager-M / lazy-EP dispatch over a
-network view, K-NN materialization, point updates, the bichromatic
-reference set, the landmark oracle, aggregate nearest neighbors, cost
-measurement and the engine and qlang entry points.
-:class:`UndirectedFacade` and :class:`DirectedFacade` hold the two
-query surfaces over the shared root :class:`FacadeBase`.
+landmark labels live, and in which way the arcs of their network view
+point.  Everything else is here, once.  :class:`FacadeBase` holds the
+surface both directions share: query validation, kNN and range-NN,
+monochromatic RkNN, K-NN materialization, point updates with list
+maintenance, aggregate nearest neighbors, cost measurement and the
+engine and qlang entry points.  An undirected edge is an arc in both
+directions, so one set of probes and list routines serves a
+:class:`~repro.core.network.NetworkView` and a
+:class:`~repro.core.directed.DirectedView` alike.
+
+:class:`UndirectedFacade` adds what only undirected networks offer:
+the eager / lazy / eager-M / lazy-EP dispatch over restricted and
+unrestricted views, continuous and bichromatic RkNN, the reference set
+and the landmark oracle.  :class:`DirectedFacade` keeps only its
+method tuple, its view (``_view``), its RkNN dispatch (``_run_rknn``,
+the directed eager / eager-M / naive traversals) and a node-id
+``_check_location``.
 
 A storage class calls :meth:`FacadeBase._init_state`, lays out its
 storage, builds its view with ``_rebuild_view()`` and implements the
@@ -36,7 +46,7 @@ each write to its log and bumps ``generation`` (the compact
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from repro.core import unrestricted
 from repro.core.bichromatic import (
@@ -45,15 +55,8 @@ from repro.core.bichromatic import (
     bichromatic_lazy,
 )
 from repro.core.continuous import validate_route
-from repro.core.directed import (
-    DirectedView,
-    directed_all_nn,
-    directed_delete,
-    directed_insert,
-    directed_knn,
-    directed_range_nn,
-    directed_rknn,
-)
+from repro.core.directed import METHODS as DIRECTED_METHODS
+from repro.core.directed import DirectedView, directed_rknn
 from repro.core.eager import eager_rknn, eager_rknn_route
 from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
 from repro.core.lazy import lazy_rknn, lazy_rknn_route
@@ -66,6 +69,8 @@ from repro.core.nn import range_nn as restricted_range_nn
 from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
 from repro.engine.spec import AGG_FUNCS
 from repro.errors import QueryError
+from repro.graph.digraph import DiGraph
+from repro.graph.graph import Graph
 from repro.oracle import (
     DEFAULT_LANDMARKS,
     DistanceOracle,
@@ -83,9 +88,6 @@ _EMPTY: frozenset[int] = frozenset()
 
 #: Query-processing methods of the undirected facades.
 METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
-
-#: Query methods of the directed facades.
-DIRECTED_METHODS = ("eager", "eager-m", "naive")
 
 Location = unrestricted.Location
 
@@ -107,10 +109,22 @@ _UNRESTRICTED_RKNN = {
 
 
 class FacadeBase:
-    """State, cost measurement and serving entry points of every facade."""
+    """The query surface of every facade, over one network view.
+
+    Monochromatic RkNN under :attr:`methods`, kNN and range-NN, K-NN
+    materialization and point updates with list maintenance, aggregate
+    nearest neighbors, cost measurement and the serving entry points.
+    The view a subclass builds sets the direction: a
+    :class:`~repro.core.network.NetworkView` expands along undirected
+    edges, a :class:`~repro.core.directed.DirectedView` probes forward
+    along out-arcs and maintains K-NN lists backward along in-arcs.
+    """
 
     #: Engine-visible backend tag (see :func:`repro.engine.planner.backend_of`).
     backend = "disk"
+
+    #: Query methods :meth:`rknn` accepts.
+    methods: tuple[str, ...] = ()
 
     def _init_state(self, graph, points: PointSet) -> None:
         """Start the query state over ``graph`` and ``points``.
@@ -127,6 +141,7 @@ class FacadeBase:
         #: The query engine keys its result cache on this counter, so a
         #: bump invalidates every previously cached answer.
         self.generation = 0
+        self._edge_store = None
 
     # -- storage hooks ----------------------------------------------------
 
@@ -148,6 +163,10 @@ class FacadeBase:
             self.materialized = MaterializedKNN(
                 rebuffered(self.materialized.store, buffer)
             )
+
+    def _rebuild_view(self) -> None:
+        """Rebuild the query view over the current points and tracker."""
+        self.view = self._view(self.points, self._edge_store)
 
     def _rebind_views(self) -> None:
         """Rebuild every view over the current storage and tracker."""
@@ -217,6 +236,242 @@ class FacadeBase:
         from repro.qlang import execute
 
         return execute(self, statement)
+
+    # -- properties -------------------------------------------------------
+
+    @property
+    def restricted(self) -> bool:
+        """True when data points live on nodes (restricted network)."""
+        return self.points.restricted
+
+    # -- materialization --------------------------------------------------
+
+    def materialize(self, capacity: int) -> None:
+        """Precompute the K-NN lists of every node (paper Section 4.1).
+
+        One all-NN pass (Fig. 8); on a directed network each list holds
+        the node's nearest points by forward distance ``d(n -> x)``.
+
+        Parameters
+        ----------
+        capacity:
+            The paper's ``K``: the largest ``k`` any future ``eager-m``
+            query may use (queries drawing from the data set and
+            excluding their own point effectively need ``K >= k + 1``).
+        """
+        self.materialized = self._materialize_over(self.view, self.points, capacity)
+
+    def _materialize_over(self, view, points: PointSet, capacity: int):
+        lists = self._folded(
+            lambda: all_nn(view, capacity, self._materialization_seeds(points))
+        )
+        return MaterializedKNN(self._knn_store(capacity, lists))
+
+    def _materialization_seeds(self, points: PointSet) -> list[Seed]:
+        seeds: list[Seed] = []
+        if isinstance(points, NodePointSet):
+            for pid, node in points.items():
+                seeds.append((node, pid, 0.0))
+        elif isinstance(points, EdgePointSet):
+            for pid, (u, v, pos) in points.items():
+                weight = self.graph.weight(u, v)
+                seeds.append((u, pid, pos))
+                seeds.append((v, pid, weight - pos))
+        return seeds
+
+    # -- monochromatic RkNN -----------------------------------------------
+
+    def rknn(
+        self,
+        query: Location,
+        k: int = 1,
+        method: str = "eager",
+        exclude: AbstractSet[int] = _EMPTY,
+    ) -> RnnResult:
+        """Reverse k-nearest-neighbor query (paper Sections 3-5).
+
+        On a directed network the answer is every point with
+        ``d(p -> q) <= d(p -> p_k(p))`` (Section 7).
+
+        Parameters
+        ----------
+        query:
+            A node id in restricted networks; a node id or a canonical
+            ``(u, v, pos)`` edge location in unrestricted ones.
+        k:
+            Neighborhood size (>= 1).
+        method:
+            One of :attr:`methods`; ``"eager-m"`` requires
+            :meth:`materialize` first.
+        exclude:
+            Data point ids hidden for the query's duration (the
+            paper's workloads draw queries from the data points and
+            treat them as new arrivals).
+
+        Returns
+        -------
+        RnnResult
+            The reverse neighbors (sorted point ids) plus the exact
+            counter diff of this call.
+        """
+        self._check_query(query, k, method)
+        points, diff = self._measure(
+            lambda: self._run_rknn(query, k, method, exclude)
+        )
+        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
+
+    # -- plain NN queries -------------------------------------------------
+
+    def knn(
+        self,
+        query: Location,
+        k: int = 1,
+        exclude: AbstractSet[int] = _EMPTY,
+    ) -> KnnResult:
+        """The k nearest data points of a location.
+
+        Parameters
+        ----------
+        query:
+            Query location (node id, or edge location when
+            unrestricted).
+        k:
+            Number of neighbors requested.
+        exclude:
+            Data point ids hidden for the query's duration.
+
+        Returns
+        -------
+        KnnResult
+            ``(point id, network distance)`` pairs in ascending
+            distance order (forward distances ``d(query -> x)`` on a
+            directed network), plus the cost record.
+        """
+        self._check_location(query)
+
+        def run() -> list[tuple[int, float]]:
+            if self.restricted:
+                return restricted_knn(self.view, query, k, exclude)
+            return unrestricted.unrestricted_knn(self.view, query, k, exclude)
+
+        neighbors, diff = self._measure(run)
+        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
+
+    def range_nn(
+        self,
+        query: Location,
+        k: int,
+        radius: float,
+        exclude: AbstractSet[int] = _EMPTY,
+    ) -> KnnResult:
+        """``range-NN(n, k, e)``: k nearest points strictly within ``radius``.
+
+        Parameters
+        ----------
+        query:
+            Query location (node id, or edge location when
+            unrestricted).
+        k:
+            Maximum number of points returned.
+        radius:
+            Strict distance bound ``e`` (points at exactly ``radius``
+            are excluded; forward distances on a directed network).
+        exclude:
+            Data point ids hidden for the query's duration.
+
+        Returns
+        -------
+        KnnResult
+            Up to ``k`` points strictly inside the range, ascending.
+        """
+        self._check_location(query)
+
+        def run() -> list[tuple[int, float]]:
+            if self.restricted:
+                return restricted_range_nn(self.view, query, k, radius, exclude)
+            return unrestricted.unrestricted_range_nn(
+                self.view, query, k, radius, exclude
+            )
+
+        neighbors, diff = self._measure(run)
+        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
+
+    # -- updates ----------------------------------------------------------
+
+    def insert_point(self, pid: int, location: Location) -> UpdateResult:
+        """Add a data point, maintaining the materialized lists if any.
+
+        Parameters
+        ----------
+        pid:
+            New point id (must be unused).
+        location:
+            A node id on restricted networks; an ``(u, v, pos)``
+            triplet on unrestricted ones.  A location off the graph
+            raises :class:`~repro.errors.PointError` before anything
+            is written.
+
+        Returns
+        -------
+        UpdateResult
+            The number of updated K-NN lists plus the cost record.
+        """
+        self._require_writable()
+        if self.restricted:
+            self._check_node_point(pid, location)
+            seeds = [(location, 0.0)]
+        else:
+            if isinstance(location, int):
+                raise QueryError("unrestricted networks take edge locations")
+            location = unrestricted.normalize_location(location)
+            EdgePointSet({pid: location}).validate(self.graph)
+            u, v, pos = location
+            seeds = [(u, pos), (v, self.graph.weight(u, v) - pos)]
+
+        def run() -> int:
+            self.points = self.points.with_point(pid, location)
+            if not self.restricted:
+                self._edge_store.insert_point(pid, *location)
+            self._rebuild_view()
+            if self.materialized is not None:
+                return self.materialized.insert(self.view, pid, seeds)
+            return 0
+
+        affected, diff = self._measure(run)
+        self._log_write("insert-point", pid=pid, node=location)
+        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
+
+    def delete_point(self, pid: int) -> UpdateResult:
+        """Remove a data point, maintaining the materialized lists if any.
+
+        Parameters
+        ----------
+        pid:
+            Id of the point to remove.
+
+        Returns
+        -------
+        UpdateResult
+            The number of repaired K-NN lists plus the cost record.
+        """
+        self._require_writable()
+
+        def run() -> int:
+            if self.restricted:
+                seeds = [(self.points.node_of(pid), 0.0)]
+            else:
+                u, v, pos = self.points.location(pid)
+                seeds = [(u, pos), (v, self.graph.weight(u, v) - pos)]
+                self._edge_store.delete_point(pid, u, v)
+            self.points = self.points.without_point(pid)
+            self._rebuild_view()
+            if self.materialized is not None:
+                return self.materialized.delete(self.view, pid, seeds)
+            return 0
+
+        affected, diff = self._measure(run)
+        self._log_write("delete-point", pid=pid)
+        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
 
     # -- aggregate nearest neighbors --------------------------------------
 
@@ -306,6 +561,35 @@ class FacadeBase:
             )
         NodePointSet({pid: node}).validate(self.graph)
 
+    def _check_location(self, query) -> None:
+        """Reject anything but a node id or, unrestricted, an edge location."""
+        if isinstance(query, int):
+            return
+        if self.restricted:
+            raise QueryError(
+                f"restricted networks take node-id queries, got {query!r}"
+            )
+        if not (isinstance(query, (tuple, list)) and len(query) == 3
+                and isinstance(query[0], int) and isinstance(query[1], int)
+                and isinstance(query[2], (int, float))):
+            raise QueryError(
+                f"query {query!r} is neither a node id nor a "
+                "(u, v, pos) edge location"
+            )
+        if not math.isfinite(query[2]):
+            raise QueryError(f"non-finite edge offset {query[2]}")
+
+    def _check_query(self, query: Location, k: int, method: str) -> None:
+        if method not in self.methods:
+            raise QueryError(
+                f"unknown method {method!r}; choose one of {self.methods}"
+            )
+        if k < 1:
+            raise QueryError(f"k must be >= 1, got {k}")
+        self._check_location(query)
+        if isinstance(query, int) and not 0 <= query < self.graph.num_nodes:
+            raise QueryError(f"query node {query} out of range")
+
 
 class UndirectedFacade(FacadeBase):
     """The paper's query surface over an undirected network.
@@ -317,6 +601,8 @@ class UndirectedFacade(FacadeBase):
     unrestricted ones (disk storage only) hold them on edges.
     """
 
+    methods = METHODS
+
     def _init_state(self, graph, points: PointSet) -> None:
         super()._init_state(graph, points)
         #: Landmark distance oracle (see :meth:`build_oracle`); ``None``
@@ -326,7 +612,6 @@ class UndirectedFacade(FacadeBase):
         #: Persisted label file backing :attr:`oracle` (``None`` when the
         #: oracle lives only in memory).
         self.oracle_store: LandmarkStore | None = None
-        self._edge_store = None
         self._ref_points: PointSet | None = None
         self._ref_view = None
         self._ref_edge_store = None
@@ -369,20 +654,26 @@ class UndirectedFacade(FacadeBase):
                 rebuffered(self._ref_materialized.store, buffer)
             )
 
-    def _rebuild_view(self) -> None:
-        self.view = self._view(self.points, self._edge_store)
-
     def _rebind_views(self) -> None:
         super()._rebind_views()
         if self._ref_points is not None:
             self._ref_view = self._view(self._ref_points, self._ref_edge_store)
 
-    # -- properties -------------------------------------------------------
+    # -- constructors and properties --------------------------------------
 
-    @property
-    def restricted(self) -> bool:
-        """True when data points live on nodes (restricted network)."""
-        return self.points.restricted
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[tuple[int, int, float]],
+        points: PointSet | None = None,
+        **kwargs,
+    ):
+        """Build a database straight from ``(u, v, weight)`` edge triples.
+
+        ``points`` and ``**kwargs`` (``node_order``, ``num_shards``,
+        ...) go to the constructor of the class it is called on.
+        """
+        return cls(Graph.from_edges(edges), points, **kwargs)
 
     @property
     def reference_points(self) -> PointSet | None:
@@ -391,18 +682,6 @@ class UndirectedFacade(FacadeBase):
         return self._ref_points
 
     # -- materialization --------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute the K-NN lists of every node (paper Section 4.1).
-
-        Parameters
-        ----------
-        capacity:
-            The paper's ``K``: the largest ``k`` any future ``eager-m``
-            query may use (queries drawing from the data set and
-            excluding their own point effectively need ``K >= k + 1``).
-        """
-        self.materialized = self._materialize_over(self.view, self.points, capacity)
 
     def materialize_reference(self, capacity: int) -> None:
         """Materialize K-NN lists over the attached reference set Q.
@@ -418,24 +697,6 @@ class UndirectedFacade(FacadeBase):
         self._ref_materialized = self._materialize_over(
             self._ref_view, self._ref_points, capacity
         )
-
-    def _materialize_over(self, view, points: PointSet, capacity: int):
-        lists = self._folded(
-            lambda: all_nn(view, capacity, self._materialization_seeds(points))
-        )
-        return MaterializedKNN(self._knn_store(capacity, lists))
-
-    def _materialization_seeds(self, points: PointSet) -> list[Seed]:
-        seeds: list[Seed] = []
-        if isinstance(points, NodePointSet):
-            for pid, node in points.items():
-                seeds.append((node, pid, 0.0))
-        elif isinstance(points, EdgePointSet):
-            for pid, (u, v, pos) in points.items():
-                weight = self.graph.weight(u, v)
-                seeds.append((u, pid, pos))
-                seeds.append((v, pid, weight - pos))
-        return seeds
 
     # -- bichromatic reference set ----------------------------------------
 
@@ -555,43 +816,7 @@ class UndirectedFacade(FacadeBase):
         if self._ref_view is not None:
             self._ref_view.bounds = bounds
 
-    # -- monochromatic RkNN -----------------------------------------------
-
-    def rknn(
-        self,
-        query: Location,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Reverse k-nearest-neighbor query (paper Sections 3-5).
-
-        Parameters
-        ----------
-        query:
-            A node id in restricted networks; a node id or a canonical
-            ``(u, v, pos)`` edge location in unrestricted ones.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`METHODS`; ``"eager-m"`` requires
-            :meth:`materialize` first.
-        exclude:
-            Data point ids hidden for the query's duration (the
-            paper's workloads draw queries from the data points and
-            treat them as new arrivals).
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors (sorted point ids) plus the exact
-            counter diff of this call.
-        """
-        self._check_query(query, k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn(query, k, method, exclude)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
+    # -- continuous and bichromatic RkNN ----------------------------------
 
     def continuous_rknn(
         self,
@@ -632,8 +857,6 @@ class UndirectedFacade(FacadeBase):
         if route is None:
             return single(self.view, *mat, query, k, exclude)
         return along(self.view, *mat, route, k, exclude)
-
-    # -- bichromatic RkNN -------------------------------------------------
 
     def bichromatic_rknn(
         self,
@@ -697,398 +920,45 @@ class UndirectedFacade(FacadeBase):
         points, diff = self._measure(run)
         return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
 
-    # -- plain NN queries -------------------------------------------------
-
-    def knn(
-        self,
-        query: Location,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest data points of a location.
-
-        Parameters
-        ----------
-        query:
-            Query location (node id, or edge location when
-            unrestricted).
-        k:
-            Number of neighbors requested.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, network distance)`` pairs in ascending
-            distance order, plus the cost record.
-        """
-        self._check_location(query)
-
-        def run() -> list[tuple[int, float]]:
-            if self.restricted:
-                return restricted_knn(self.view, query, k, exclude)
-            return unrestricted.unrestricted_knn(self.view, query, k, exclude)
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: Location,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """``range-NN(n, k, e)``: k nearest points strictly within ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query location (node id, or edge location when
-            unrestricted).
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict distance bound ``e`` (points at exactly ``radius``
-            are excluded).
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            Up to ``k`` points strictly inside the range, ascending.
-        """
-        self._check_location(query)
-
-        def run() -> list[tuple[int, float]]:
-            if self.restricted:
-                return restricted_range_nn(self.view, query, k, radius, exclude)
-            return unrestricted.unrestricted_range_nn(
-                self.view, query, k, radius, exclude
-            )
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ----------------------------------------------------------
-
-    def insert_point(self, pid: int, location: Location) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        location:
-            A node id on restricted networks; an ``(u, v, pos)``
-            triplet on unrestricted ones.  A location off the graph
-            raises :class:`~repro.errors.PointError` before anything
-            is written.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        self._require_writable()
-        if self.restricted:
-            self._check_node_point(pid, location)
-            seeds = [(location, 0.0)]
-        else:
-            if isinstance(location, int):
-                raise QueryError("unrestricted networks take edge locations")
-            location = unrestricted.normalize_location(location)
-            EdgePointSet({pid: location}).validate(self.graph)
-            u, v, pos = location
-            seeds = [(u, pos), (v, self.graph.weight(u, v) - pos)]
-
-        def run() -> int:
-            self.points = self.points.with_point(pid, location)
-            if not self.restricted:
-                self._edge_store.insert_point(pid, *location)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.insert(self.view, pid, seeds)
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_write("insert-point", pid=pid, node=location)
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        self._require_writable()
-
-        def run() -> int:
-            if self.restricted:
-                seeds = [(self.points.node_of(pid), 0.0)]
-            else:
-                u, v, pos = self.points.location(pid)
-                seeds = [(u, pos), (v, self.graph.weight(u, v) - pos)]
-                self._edge_store.delete_point(pid, u, v)
-            self.points = self.points.without_point(pid)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.delete(self.view, pid, seeds)
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_write("delete-point", pid=pid)
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- validation -------------------------------------------------------
-
-    def _check_location(self, query) -> None:
-        """Reject anything but a node id or, unrestricted, an edge location."""
-        if isinstance(query, int):
-            return
-        if self.restricted:
-            raise QueryError(
-                f"restricted networks take node-id queries, got {query!r}"
-            )
-        if not (isinstance(query, (tuple, list)) and len(query) == 3
-                and isinstance(query[0], int) and isinstance(query[1], int)
-                and isinstance(query[2], (int, float))):
-            raise QueryError(
-                f"query {query!r} is neither a node id nor a "
-                "(u, v, pos) edge location"
-            )
-        if not math.isfinite(query[2]):
-            raise QueryError(f"non-finite edge offset {query[2]}")
-
-    def _check_query(self, query: Location, k: int, method: str) -> None:
-        if method not in METHODS:
-            raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        self._check_location(query)
-        if isinstance(query, int) and not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-
-
 class DirectedFacade(FacadeBase):
     """The directed query surface: RkNN with asymmetric distances.
 
     Monochromatic RkNN under :data:`DIRECTED_METHODS`, forward kNN and
     range-NN, forward K-NN materialization and point updates with list
-    maintenance, over whatever directed view the storage class builds.
-    Points live on nodes.
+    maintenance -- the shared surface of :class:`FacadeBase` over a
+    :class:`~repro.core.directed.DirectedView`.  Points live on nodes.
     """
 
-    # -- storage hooks ----------------------------------------------------
+    methods = DIRECTED_METHODS
 
-    def _view(self, points: NodePointSet):
+    @classmethod
+    def from_arcs(
+        cls,
+        arcs: Iterable[tuple[int, int, float]],
+        points: NodePointSet | None = None,
+        **kwargs,
+    ):
+        """Build a database straight from ``(tail, head, weight)`` arc
+        triples.
+
+        ``points`` and ``**kwargs`` (``num_shards``, ...) go to the
+        constructor of the class it is called on.
+        """
+        return cls(DiGraph.from_arcs(arcs), points, **kwargs)
+
+    def _view(self, points: NodePointSet, edge_store=None):
         """A directed view over ``points``."""
-        return DirectedView(self.disk, points, self.tracker)
-
-    def _rebuild_view(self) -> None:
-        self.view = self._view(self.points)
-
-    # -- materialization --------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute each node's forward K-NN list (directed all-NN).
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` -- the largest ``k`` served by
-            ``eager-m``.
-        """
-        lists = self._folded(lambda: directed_all_nn(self.view, capacity))
-        self.materialized = MaterializedKNN(self._knn_store(capacity, lists))
-
-    # -- queries ----------------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Directed RkNN: points with ``d(p -> q) <= d(p -> p_k(p))``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`DIRECTED_METHODS`; ``"eager-m"`` requires
-            :meth:`materialize` first.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors (sorted point ids) plus the exact
-            counter diff of this call.
-        """
-        self._check_query(query, k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn(query, k, method, exclude)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
+        return DirectedView(self.disk, points, self.tracker, edge_store)
 
     def _run_rknn(self, query, k, method, exclude, route=None) -> list[int]:
         """Run ``method`` for one query node (directed networks take
         no routes: ``route`` is always ``None``)."""
-        return directed_rknn(
-            self.view, query, k, method, self.materialized, exclude
-        )
+        mat = self._require_mat() if method == "eager-m" else None
+        return directed_rknn(self.view, query, k, method, mat, exclude)
 
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest points *from* ``query`` (forward distances).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, forward distance)`` pairs, ascending.
-        """
-        self._check_node(query)
-        neighbors, diff = self._measure(
-            lambda: directed_knn(self.view, query, k, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """Forward range-NN from ``query`` with a strict ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict bound on ``d(query -> x)``.
-        exclude:
-            Data point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            Up to ``k`` points strictly inside the range, ascending.
-        """
-        self._check_node(query)
-        neighbors, diff = self._measure(
-            lambda: directed_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ----------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on; an unknown node raises
-            :class:`~repro.errors.PointError` before anything is
-            written.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        self._require_writable()
-        self._check_node_point(pid, node)
-
-        def run() -> int:
-            self.points = self.points.with_point(pid, node)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return directed_insert(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_write("insert-point", pid=pid, node=node)
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        self._require_writable()
-
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return directed_delete(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_write("delete-point", pid=pid)
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- validation -------------------------------------------------------
-
-    def _check_node(self, query) -> None:
+    def _check_location(self, query) -> None:
+        """Reject anything but a node id."""
         if not isinstance(query, int):
             raise QueryError(
                 f"directed networks take node-id queries, got {query!r}"
             )
-
-    def _check_query(self, query: int, k: int, method: str) -> None:
-        if method not in DIRECTED_METHODS:
-            raise QueryError(
-                f"unknown method {method!r}; choose one of {DIRECTED_METHODS}"
-            )
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        self._check_node(query)
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        if method == "eager-m":
-            self._require_mat()

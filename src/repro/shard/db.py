@@ -26,7 +26,6 @@ inherits the :class:`~repro.api_directed.DirectedGraphDatabase` surface
 from __future__ import annotations
 
 import copy
-from typing import Iterable
 
 from repro.errors import QueryError
 from repro.facade import DirectedFacade, UndirectedFacade
@@ -239,30 +238,6 @@ class ShardedDatabase(_ShardedStorage, UndirectedFacade):
             buffer_pages,
         )
 
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "ShardedDatabase":
-        """Build a sharded database straight from an edge list.
-
-        Parameters
-        ----------
-        edges:
-            ``(u, v, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor (``num_shards``, ...).
-
-        Returns
-        -------
-        ShardedDatabase
-        """
-        return cls(Graph.from_edges(edges), points, **kwargs)
-
 
 class ShardedDirectedDatabase(_ShardedStorage, DirectedFacade):
     """Sharded disk-based directed graph database answering RkNN queries.
@@ -299,27 +274,3 @@ class ShardedDirectedDatabase(_ShardedStorage, DirectedFacade):
             page_size,
             buffer_pages,
         )
-
-    @classmethod
-    def from_arcs(
-        cls,
-        arcs: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "ShardedDirectedDatabase":
-        """Build a sharded directed database straight from an arc list.
-
-        Parameters
-        ----------
-        arcs:
-            ``(tail, head, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor (``num_shards``, ...).
-
-        Returns
-        -------
-        ShardedDirectedDatabase
-        """
-        return cls(DiGraph.from_arcs(arcs), points, **kwargs)

@@ -27,10 +27,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from repro.api import GraphDatabase, Location
 from repro.core.numeric import tie_threshold
 from repro.errors import QueryError
+from repro.facade import DirectedFacade, FacadeBase, Location
 from repro.paths.dijkstra import single_source_distances
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -42,33 +44,41 @@ class MembershipEvent:
     kind: str  # "join" or "leave"
 
 
-class BichromaticRnnMonitor:
-    """Continuous *bichromatic* RkNN results for standing queries.
+class _StandingQueries:
+    """Standing queries over an undirected restricted database.
 
-    The standing queries double as the reference set Q (the paper's
-    Fig. 1b: restaurants compete with rival restaurants): a data point
-    belongs to ``bRkNN(q)`` when fewer than ``k`` *other standing
-    queries* are strictly closer to it than ``q``.  Because queries are
-    fixed and the graph is static, membership depends only on the
-    precomputed distance fields -- each stream update costs one field
-    lookup per (point, query) pair and no network traversal at all.
+    Holds one distance field ``d(q, n)`` per standing query, feeds the
+    stream's updates to the database and diffs each re-evaluation
+    against the last.  A subclass supplies only its membership rule,
+    :meth:`_closer_counter`.  Directed networks are refused: a field
+    from ``q`` gives ``d(q -> n)``, not the ``d(n -> q)`` the rule
+    needs.
     """
 
-    def __init__(self, db: GraphDatabase, queries: dict[int, int], k: int = 1):
+    #: Fewest standing queries the membership rule needs, and the error
+    #: raised below that.
+    _min_queries = (1, "at least one standing query is required")
+
+    def __init__(self, db: FacadeBase, queries: dict[int, int], k: int = 1):
+        name = type(self).__name__
+        if isinstance(db, DirectedFacade):
+            raise QueryError(
+                f"{name} serves undirected networks: its distance fields "
+                "assume d(q, n) = d(n, q), which a directed network breaks"
+            )
         if not db.restricted:
-            raise QueryError("BichromaticRnnMonitor requires a restricted network")
+            raise QueryError(f"{name} requires a restricted network")
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
-        if len(queries) < 2:
-            raise QueryError(
-                "bichromatic monitoring needs at least two standing queries "
-                "(each competes with the others)"
-            )
+        fewest, message = self._min_queries
+        if len(queries) < fewest:
+            raise QueryError(message)
         for qid, node in queries.items():
             if not 0 <= node < db.graph.num_nodes:
                 raise QueryError(f"query {qid} node {node} out of range")
         self.db = db
         self.k = k
+        self._prepare()
         self._queries = dict(queries)
         self._fields = {
             qid: single_source_distances(db.graph, node)
@@ -77,111 +87,8 @@ class BichromaticRnnMonitor:
         self._results: dict[int, set[int]] = {qid: set() for qid in queries}
         self._refresh()
 
-    def insert(self, pid: int, location: Location) -> list[MembershipEvent]:
-        """Feed a point insertion; returns the membership changes."""
-        self.db.insert_point(pid, location)
-        return self._refresh()
-
-    def delete(self, pid: int) -> list[MembershipEvent]:
-        """Feed a point deletion; returns the membership changes."""
-        self.db.delete_point(pid)
-        return self._refresh()
-
-    def refresh(self) -> list[MembershipEvent]:
-        """Re-evaluate after an out-of-band database update.
-
-        For callers that apply ``insert_point`` / ``delete_point``
-        directly on the database (the serving tier routes one mutation
-        to many monitors): recomputes every membership and returns the
-        changes since the last evaluation.
-        """
-        return self._refresh()
-
-    def result(self, qid: int) -> list[int]:
-        """Current ``bRkNN`` members of a standing query (sorted)."""
-        try:
-            return sorted(self._results[qid])
-        except KeyError:
-            raise QueryError(f"unknown standing query {qid}") from None
-
-    def counts(self) -> dict[int, int]:
-        """``query id -> |bRkNN(q)|`` for every standing query."""
-        return {qid: len(members) for qid, members in self._results.items()}
-
-    def total_influence(self) -> int:
-        """Sum of result sizes over all standing queries."""
-        return sum(len(members) for members in self._results.values())
-
-    def most_influential(self) -> tuple[int, int]:
-        """``(query id, result size)`` of the largest current result."""
-        qid = max(self._results, key=lambda q: (len(self._results[q]), -q))
-        return qid, len(self._results[qid])
-
-    def _refresh(self) -> list[MembershipEvent]:
-        events: list[MembershipEvent] = []
-        fresh: dict[int, set[int]] = {qid: set() for qid in self._queries}
-        for pid in self.db.points.ids():
-            node = self.db.points.node_of(pid)
-            for qid, field in self._fields.items():
-                dq = field.get(node)
-                if dq is None:
-                    continue
-                threshold = tie_threshold(dq)
-                closer = sum(
-                    1
-                    for other, other_field in self._fields.items()
-                    if other != qid and other_field.get(node, _INF) < threshold
-                )
-                if closer < self.k:
-                    fresh[qid].add(pid)
-        for qid, members in fresh.items():
-            for pid in sorted(members - self._results[qid]):
-                events.append(MembershipEvent(qid, pid, "join"))
-            for pid in sorted(self._results[qid] - members):
-                events.append(MembershipEvent(qid, pid, "leave"))
-        self._results = fresh
-        return events
-
-
-_INF = float("inf")
-
-
-class RnnMonitor:
-    """Exact continuous RkNN results for a set of standing queries."""
-
-    def __init__(self, db: GraphDatabase, queries: dict[int, int], k: int = 1):
-        """Register ``queries`` (query id -> node id) over ``db``.
-
-        The database must be restricted (points on nodes).  The monitor
-        materializes K-NN lists of capacity ``k + 1`` if the database
-        has none; an existing materialization must already satisfy that
-        capacity.
-        """
-        if not db.restricted:
-            raise QueryError("RnnMonitor requires a restricted network")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not queries:
-            raise QueryError("at least one standing query is required")
-        for qid, node in queries.items():
-            if not 0 <= node < db.graph.num_nodes:
-                raise QueryError(f"query {qid} node {node} out of range")
-        self.db = db
-        self.k = k
-        if db.materialized is None:
-            db.materialize(k + 1)
-        elif db.materialized.capacity < k + 1:
-            raise QueryError(
-                f"existing materialization capacity {db.materialized.capacity} "
-                f"< k + 1 = {k + 1}"
-            )
-        self._fields = {
-            qid: single_source_distances(db.graph, node)
-            for qid, node in queries.items()
-        }
-        self._queries = dict(queries)
-        self._results: dict[int, set[int]] = {qid: set() for qid in queries}
-        self._refresh()
+    def _prepare(self) -> None:
+        """Set the database up for the membership rule (hook)."""
 
     # -- stream updates ---------------------------------------------------------
 
@@ -208,14 +115,14 @@ class RnnMonitor:
     # -- results and aggregates ---------------------------------------------------
 
     def result(self, qid: int) -> list[int]:
-        """Current ``RkNN`` members of a standing query (sorted)."""
+        """Current members of a standing query's result (sorted)."""
         try:
             return sorted(self._results[qid])
         except KeyError:
             raise QueryError(f"unknown standing query {qid}") from None
 
     def counts(self) -> dict[int, int]:
-        """``query id -> |RkNN(q)|`` for every standing query."""
+        """``query id -> result size`` for every standing query."""
         return {qid: len(members) for qid, members in self._results.items()}
 
     def total_influence(self) -> int:
@@ -231,18 +138,17 @@ class RnnMonitor:
 
     def _refresh(self) -> list[MembershipEvent]:
         """Re-evaluate all (point, query) memberships; emit the diffs."""
-        events: list[MembershipEvent] = []
         fresh: dict[int, set[int]] = {qid: set() for qid in self._queries}
         for pid in self.db.points.ids():
             node = self.db.points.node_of(pid)
-            others = self._other_distances(pid, node)
+            closer = self._closer_counter(pid, node)
             for qid, field in self._fields.items():
                 dq = field.get(node)
                 if dq is None:
                     continue  # query cannot reach the point
-                closer = bisect_left(others, tie_threshold(dq))
-                if closer < self.k:
+                if closer(qid, tie_threshold(dq)) < self.k:
                     fresh[qid].add(pid)
+        events: list[MembershipEvent] = []
         for qid, members in fresh.items():
             for pid in sorted(members - self._results[qid]):
                 events.append(MembershipEvent(qid, pid, "join"))
@@ -251,14 +157,67 @@ class RnnMonitor:
         self._results = fresh
         return events
 
-    def _other_distances(self, pid: int, node: int) -> list[float]:
-        """Ascending distances from ``pid`` to its nearest other points.
+    def _closer_counter(self, pid: int, node: int):
+        """``(qid, threshold) -> count`` of the competitors of point
+        ``pid`` (on ``node``) strictly closer to it than ``threshold``."""
+        raise NotImplementedError
 
-        Read from the materialized list of the point's node, which
-        contains the point itself at distance 0 plus its ``k`` nearest
-        other points (capacity ``k + 1``).
+
+class BichromaticRnnMonitor(_StandingQueries):
+    """Continuous *bichromatic* RkNN results for standing queries.
+
+    The standing queries double as the reference set Q (the paper's
+    Fig. 1b: restaurants compete with rival restaurants): a data point
+    belongs to ``bRkNN(q)`` when fewer than ``k`` *other standing
+    queries* are strictly closer to it than ``q``.  Because queries are
+    fixed and the graph is static, membership depends only on the
+    precomputed distance fields -- each stream update costs one field
+    lookup per (point, query) pair and no network traversal at all.
+    """
+
+    _min_queries = (
+        2,
+        "bichromatic monitoring needs at least two standing queries "
+        "(each competes with the others)",
+    )
+
+    def _closer_counter(self, pid: int, node: int):
+        """Count the *other standing queries* strictly closer to the point."""
+        near = {qid: field.get(node, _INF) for qid, field in self._fields.items()}
+        return lambda qid, threshold: sum(
+            1 for other, dist in near.items() if other != qid and dist < threshold
+        )
+
+
+class RnnMonitor(_StandingQueries):
+    """Exact continuous RkNN results for a set of standing queries.
+
+    Register ``queries`` (query id -> node id) over ``db``.  The
+    database must be undirected and restricted (points on nodes).  The
+    monitor materializes K-NN lists of capacity ``k + 1`` if the
+    database has none; an existing materialization must already
+    satisfy that capacity.
+    """
+
+    def _prepare(self) -> None:
+        """Materialize (or check) the K-NN lists the radii come from."""
+        mat = self.db.materialized
+        if mat is None:
+            self.db.materialize(self.k + 1)
+        elif mat.capacity < self.k + 1:
+            raise QueryError(
+                f"existing materialization capacity {mat.capacity} "
+                f"< k + 1 = {self.k + 1}"
+            )
+
+    def _closer_counter(self, pid: int, node: int):
+        """Count the point's *other data points* strictly closer to it.
+
+        Their distances come from the materialized list of the point's
+        node, which holds the point itself at distance 0 plus its ``k``
+        nearest other points (capacity ``k + 1``).
         """
-        assert self.db.materialized is not None
-        return sorted(
+        others = sorted(
             dist for other, dist in self.db.materialized.get(node) if other != pid
         )
+        return lambda qid, threshold: bisect_left(others, threshold)

@@ -5,11 +5,8 @@ import random
 import pytest
 
 from repro import DiGraph, DirectedGraphDatabase, NodePointSet, QueryError
-from repro.core.directed import (
-    brute_force_directed_rknn,
-    directed_range_nn,
-    directed_verify,
-)
+from repro.core.directed import brute_force_directed_rknn
+from repro.core.nn import range_nn, verify
 from repro.graph.graph import Graph
 
 METHODS = ("eager", "eager-m", "naive")
@@ -82,15 +79,15 @@ class TestDirectedPrimitives:
         assert db.knn(2, 2).neighbors == ((11, 1.0), (10, 3.0))
 
     def test_range_nn_strict(self, db):
-        assert directed_range_nn(db.view, 0, 2, 1.0) == []
-        assert directed_range_nn(db.view, 0, 2, 1.5) == [(10, 1.0)]
+        assert range_nn(db.view, 0, 2, 1.0) == []
+        assert range_nn(db.view, 0, 2, 1.5) == [(10, 1.0)]
 
     def test_verify_uses_forward_distance(self, db):
         # point 10 at node 1; query at node 2: d(10 -> 2) = 1 while the
         # other point is at d(10 -> 3) = 2: the query wins
-        assert directed_verify(db.view, 10, 1, 2, bound=1.0)
+        assert verify(db.view, 10, 1, (2,), bound=1.0)
         # query at node 0: d(10 -> 0) = 3 > d(10 -> 3) = 2: it loses
-        assert not directed_verify(db.view, 10, 1, 0, bound=3.0)
+        assert not verify(db.view, 10, 1, (0,), bound=3.0)
 
 
 class TestDirectedRknn:

@@ -25,6 +25,8 @@ TARGETS = [
     str(ROOT / "src" / "repro" / "engine"),
     str(ROOT / "src" / "repro" / "qlang"),
     str(ROOT / "src" / "repro" / "obs"),
+    str(ROOT / "src" / "repro" / "core"),
+    str(ROOT / "src" / "repro" / "streams"),
 ]
 
 
