@@ -20,7 +20,6 @@ storage under it.
 
 from __future__ import annotations
 
-import copy
 from typing import AbstractSet, Sequence
 
 from repro.core import baseline
@@ -29,20 +28,45 @@ from repro.core.result import KnnResult
 from repro.errors import QueryError
 from repro.facade import _EMPTY, METHODS, Location, UndirectedFacade
 from repro.graph.graph import Graph
-from repro.graph.partition import bfs_order, hilbert_order
-from repro.points.points import EdgePointSet, NodePointSet, PointSet
-from repro.storage.buffer import BufferManager, rebuffered
+from repro.graph.partition import packing_order
+from repro.points.points import EdgePointSet, PointSet
+from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferManager, rebuffered
 from repro.storage.disk import DiskGraph, EdgePointStore
 from repro.storage.page import DEFAULT_PAGE_SIZE
-from repro.storage.stats import CostTracker
 
 __all__ = ["DEFAULT_BUFFER_PAGES", "GraphDatabase", "Location", "METHODS"]
 
-#: Default LRU buffer of the paper's evaluation: 1 MB = 256 pages of 4 KB.
-DEFAULT_BUFFER_PAGES = 256
+
+class _DiskStorage:
+    """Storage plumbing shared by both disk facades.
+
+    One LRU buffer fronts the paged adjacency file and every side file
+    (K-NN lists, edge points, landmark labels), all packed in one node
+    order -- the paper's single 1 MB buffer (Section 6).
+    """
+
+    def _init_paging(self, page_size: int, buffer_pages: int, order) -> None:
+        """Set up the page size, the buffer and the packing ``order``."""
+        self.page_size = page_size
+        self.buffer = BufferManager(buffer_pages, self.tracker)
+        self._order = order
+
+    def _paging(self):
+        return self.buffer, self._order
+
+    def _clone_storage(self) -> None:
+        """A cold buffer of the clone's own, in front of the shared
+        adjacency pages and the clone's copies of the side files."""
+        self.buffer = BufferManager(self.buffer.capacity_pages, self.tracker)
+        self.disk = rebuffered(self.disk, self.buffer)
+        self._rebuffer_side_files(self.buffer)
+
+    def clear_buffer(self) -> None:
+        """Drop every buffered page (cold-start the next query)."""
+        self.buffer.clear()
 
 
-class GraphDatabase(UndirectedFacade):
+class GraphDatabase(_DiskStorage, UndirectedFacade):
     """Disk-based graph database answering (reverse) NN queries.
 
     Parameters
@@ -71,36 +95,22 @@ class GraphDatabase(UndirectedFacade):
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         node_order: str = "bfs",
     ):
-        if points is None:
-            points = NodePointSet({})
-        points.validate(graph)
         self._init_state(graph, points)
-        self.page_size = page_size
-        self.buffer = BufferManager(buffer_pages, self.tracker)
-        if node_order == "bfs":
-            self._order = bfs_order(graph)
-        elif node_order == "hilbert":
-            self._order = hilbert_order(graph)
-        else:
-            raise QueryError(f"unknown node_order {node_order!r}")
-        point_nodes = frozenset(
-            node for _, node in points.items()
-        ) if isinstance(points, NodePointSet) else frozenset()
+        self._init_paging(page_size, buffer_pages, packing_order(graph, node_order))
         self.disk = DiskGraph(
             graph,
             self.buffer,
             page_size=page_size,
             order=self._order,
-            point_nodes=point_nodes,
+            point_nodes=frozenset(
+                node for _, node in self.points.items()
+            ) if self.restricted else frozenset(),
         )
-        if isinstance(points, EdgePointSet):
-            self._edge_store = self._edge_points(points)
+        if not self.restricted:
+            self._edge_store = self._edge_points(self.points)
         self._rebuild_view()
 
     # -- storage ------------------------------------------------------------
-
-    def _paging(self):
-        return self.buffer, self._order
 
     def _edge_points(self, points: EdgePointSet) -> EdgePointStore:
         """Page an unrestricted point set into its own point file."""
@@ -108,33 +118,6 @@ class GraphDatabase(UndirectedFacade):
             self.graph, points, self.buffer,
             page_size=self.page_size, order=self._order,
         )
-
-    def read_clone(self) -> "GraphDatabase":
-        """A read-only session sharing this database's disk images.
-
-        The clone references the same serialized pages (and the same
-        in-memory graph and point sets) but owns a private buffer and
-        cost tracker, so concurrent read-only queries on different
-        clones never race on LRU state or counters.  The clone starts
-        cold; its tracker starts at zero.
-
-        Clones are for *reading*: running updates through a clone is
-        unsupported (the mutated pages would be shared with the parent
-        while the point indexes diverged).
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.buffer = BufferManager(self.buffer.capacity_pages, clone.tracker)
-        clone.disk = rebuffered(self.disk, clone.buffer)
-        clone._edge_store = rebuffered(self._edge_store, clone.buffer)
-        clone._ref_edge_store = rebuffered(self._ref_edge_store, clone.buffer)
-        clone._rebuffer_lists(clone.buffer)
-        clone._rebind_views()
-        return clone
-
-    def clear_buffer(self) -> None:
-        """Drop every buffered page (cold-start the next query)."""
-        self.buffer.clear()
 
     # -- disk-only queries ----------------------------------------------------
 

@@ -69,7 +69,8 @@ from repro.compact import CompactDatabase
 from repro.engine.spec import load_specs
 from repro.errors import QueryError, ReproError
 from repro.graph.io import load_graph, save_graph
-from repro.graph.partition import bfs_order, hilbert_order, partition_nodes
+from repro.graph.partition import packing_order, partition_nodes
+from repro.storage.buffer import DEFAULT_BUFFER_PAGES
 from repro.storage.page import adjacency_record_size
 from repro.points.points import NodePointSet
 from repro.shard import ShardedDatabase, ShardedGraphStore
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("eager", "lazy", "eager-m", "lazy-ep"))
     query.add_argument("--materialize", type=int, default=0, metavar="K",
                        help="build K-NN lists before querying (for eager-m)")
-    query.add_argument("--buffer-pages", type=int, default=256)
+    query.add_argument("--buffer-pages", type=int, default=DEFAULT_BUFFER_PAGES)
     _add_backend_arguments(query)
 
     recommend = commands.add_parser(
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache entries (0 disables caching)")
     batch.add_argument("--materialize", type=int, default=0, metavar="K",
                        help="build K-NN lists before executing (for eager-m)")
-    batch.add_argument("--buffer-pages", type=int, default=256)
+    batch.add_argument("--buffer-pages", type=int, default=DEFAULT_BUFFER_PAGES)
     batch.add_argument("--no-plan", action="store_true",
                        help="execute in file order (no locality planning)")
     batch.add_argument("--no-batch-kernel", action="store_true",
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--materialize", type=int, default=0, metavar="K",
                        help="build K-NN lists before serving (for eager-m)")
-    serve.add_argument("--buffer-pages", type=int, default=256)
+    serve.add_argument("--buffer-pages", type=int, default=DEFAULT_BUFFER_PAGES)
     serve.add_argument("--ready-file", metavar="FILE",
                        help="write HOST:PORT to FILE once accepting "
                        "connections (lets scripts wait for readiness)")
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_build.add_argument("--shards", type=int, default=4, metavar="K")
     shard_build.add_argument("--order", choices=("bfs", "hilbert"),
                              default="bfs", help="cut heuristic")
-    shard_build.add_argument("--buffer-pages", type=int, default=256,
+    shard_build.add_argument("--buffer-pages", type=int, default=DEFAULT_BUFFER_PAGES,
                              help="LRU budget per shard (each shard models "
                              "an independent storage host)")
     shard_build.add_argument("--assignment", metavar="FILE",
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(labels are interchangeable)")
     oracle_build.add_argument("--shards", type=int, default=4, metavar="K",
                               help="shard count for --backend sharded")
-    oracle_build.add_argument("--buffer-pages", type=int, default=256)
+    oracle_build.add_argument("--buffer-pages", type=int, default=DEFAULT_BUFFER_PAGES)
     return parser
 
 
@@ -816,7 +817,7 @@ def _compact_build(args: argparse.Namespace) -> int:
     db = CompactDatabase(graph, points, node_order=args.order)
     elapsed = time.perf_counter() - start
     # the page count the disk layout would need, without building it
-    order = (bfs_order(graph) if args.order == "bfs" else hilbert_order(graph))
+    order = packing_order(graph, args.order)
     sizes = [adjacency_record_size(graph.degree(v))
              for v in range(graph.num_nodes)]
     disk_pages = len(partition_nodes(order, sizes))

@@ -45,7 +45,7 @@ from repro.errors import QueryError
 from repro.facade import DirectedFacade, UndirectedFacade
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
-from repro.graph.partition import bfs_order, hilbert_order
+from repro.graph.partition import packing_order
 from repro.oracle import (
     LowerOnlyBounds,
     csr_landmark_distances,
@@ -53,21 +53,6 @@ from repro.oracle import (
 )
 from repro.points.points import NodePointSet
 from repro.storage.stats import CostTracker
-
-
-def _require_node_points(points: NodePointSet | None, graph_nodes: int) -> NodePointSet:
-    """Validate the restricted point set shared by both compact facades."""
-    if points is None:
-        points = NodePointSet({})
-    if not isinstance(points, NodePointSet):
-        raise QueryError(
-            "the compact backend serves restricted networks "
-            "(NodePointSet); edge-resident points are unsupported"
-        )
-    for pid, node in points.items():
-        if not 0 <= node < graph_nodes:
-            raise QueryError(f"point {pid} lies on unknown node {node}")
-    return points
 
 
 class _CompactStorage:
@@ -87,6 +72,39 @@ class _CompactStorage:
 
     def _knn_store(self, capacity: int, lists):
         return MemoryKnnStore(self.graph.num_nodes, capacity, lists)
+
+    def _adopt(self, store) -> None:
+        """Finish construction on a ready CSR ``store``: every
+        constructor, :meth:`from_database` and snapshot load ends here,
+        after ``_init_state``."""
+        self.store = store
+        self._rebuild_view()
+
+    @classmethod
+    def from_database(cls, db):
+        """Promote an existing disk-backed database to the compact backend.
+
+        Parameters
+        ----------
+        db:
+            A :class:`~repro.api.GraphDatabase` with node-resident
+            points, or for :class:`CompactDirectedDatabase` a
+            :class:`~repro.api_directed.DirectedGraphDatabase`.  Its
+            serialized adjacency pages (both direction files of a
+            directed one) are decoded once (uncharged) into the CSR
+            arrays; the point set is shared, checked as the
+            constructor checks it.
+
+        Returns
+        -------
+        CompactDatabase or CompactDirectedDatabase
+            A database answering every restricted query identically to
+            ``db``, without page I/O.
+        """
+        compact = cls.__new__(cls)
+        compact._init_state(db.graph, db.points)
+        compact._adopt(cls._store_class.from_disk(db.disk))
+        return compact
 
     def batch_rknn(self, specs) -> tuple[RnnResult, ...]:
         """Answer a batch of RkNN and aggregate NN specs in one CSR pass.
@@ -213,26 +231,16 @@ class _CompactStorage:
             )
         return tuple(results)
 
-    def read_clone(self):
-        """A read-only session over this database's CSR arrays.
-
-        Returns
-        -------
-        CompactDatabase or CompactDirectedDatabase
-            A constant-time clone sharing the flat arrays and the
-            materialized lists, which are copied on write (the head
-            copies the table once, at its first write after a clone),
-            so the clone keeps answering from the lists it pinned.
-            Only the tracker (and the views bound to it) is private.
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
+    def _clone_storage(self) -> None:
+        """Share the flat arrays as they are and the materialized lists
+        copied on write (the head copies the table once, at its first
+        write after a clone), so the clone keeps answering from the
+        lists it pinned; only the tracker and the views bound to it
+        are private."""
         if self.materialized is not None:
-            clone.materialized = MaterializedKNN(
+            self.materialized = MaterializedKNN(
                 self.materialized.store.share()
             )
-        clone._rebind_views()
-        return clone
 
     def clear_buffer(self) -> None:
         """No-op: the compact store has no buffer to cool.
@@ -273,47 +281,21 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         node_order: str = "bfs",
         compact_threshold: int | None = None,
     ):
-        points = _require_node_points(points, graph.num_nodes)
-        points.validate(graph)
         self._init_state(graph, points)
-        if node_order == "bfs":
-            order = bfs_order(graph)
-        elif node_order == "hilbert":
-            order = hilbert_order(graph)
-        else:
-            raise QueryError(f"unknown node_order {node_order!r}")
-        self.store = CompactGraphStore(graph, order=order)
-        self._rebuild_view()
+        self._adopt(
+            CompactGraphStore(graph, order=packing_order(graph, node_order)),
+            compact_threshold,
+        )
+
+    #: The CSR store :meth:`from_database` decodes a disk database into.
+    _store_class = CompactGraphStore
+
+    def _adopt(self, store, threshold: int | None = None) -> None:
+        """Finish construction on a ready CSR ``store`` and start the
+        write history over it, auto-compacting at ``threshold``."""
+        super()._adopt(store)
         #: The write history (:class:`~repro.compact.overlay.DeltaLog`).
-        self.log = DeltaLog(self.store, graph, points,
-                            threshold=compact_threshold)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_database(cls, db) -> "CompactDatabase":
-        """Promote an existing disk-backed database to the compact backend.
-
-        Parameters
-        ----------
-        db:
-            A :class:`~repro.api.GraphDatabase` with node-resident
-            points.  Its serialized adjacency pages are decoded once
-            (uncharged) into the CSR arrays; the point set is shared.
-
-        Returns
-        -------
-        CompactDatabase
-            A database answering every restricted query identically to
-            ``db``, without page I/O.
-        """
-        points = _require_node_points(db.points, db.graph.num_nodes)
-        compact = cls.__new__(cls)
-        compact._init_state(db.graph, points)
-        compact.store = CompactGraphStore.from_disk(db.disk)
-        compact._rebuild_view()
-        compact.log = DeltaLog(compact.store, db.graph, points)
-        return compact
+        self.log = DeltaLog(store, self.graph, self.points, threshold=threshold)
 
     # -- properties ---------------------------------------------------------
 
@@ -477,13 +459,11 @@ class CompactDatabase(_CompactStorage, UndirectedFacade):
         session._rebuild_view()
         return session
 
-    def read_clone(self):
-        """A constant-time session holding the log pinned at the current
-        stamp: it keeps that stamp and refuses writes (see
-        :meth:`at_epoch`)."""
-        clone = super().read_clone()
-        clone.log = self.log.at(self.log.epoch)
-        return clone
+    def _clone_storage(self) -> None:
+        """Also pin the clone's log at the current stamp: the clone
+        keeps that stamp and refuses writes (see :meth:`at_epoch`)."""
+        super()._clone_storage()
+        self.log = self.log.at(self.log.epoch)
 
     # -- vectorized batch kernel --------------------------------------------
 
@@ -672,31 +652,11 @@ class CompactDirectedDatabase(_CompactStorage, DirectedFacade):
         graph: DiGraph,
         points: NodePointSet | None = None,
     ):
-        points = _require_node_points(points, graph.num_nodes)
         self._init_state(graph, points)
-        self.store = CompactDiGraphStore(graph)
-        self._rebuild_view()
+        self._adopt(CompactDiGraphStore(graph))
 
-    @classmethod
-    def from_database(cls, db) -> "CompactDirectedDatabase":
-        """Promote an existing disk-backed directed database.
-
-        Parameters
-        ----------
-        db:
-            A :class:`~repro.api_directed.DirectedGraphDatabase`; its
-            two direction files are decoded once (uncharged) into the
-            CSR arrays.
-
-        Returns
-        -------
-        CompactDirectedDatabase
-        """
-        compact = cls.__new__(cls)
-        compact._init_state(db.graph, db.points)
-        compact.store = CompactDiGraphStore.from_disk(db.disk)
-        compact._rebuild_view()
-        return compact
+    #: The CSR store :meth:`from_database` decodes a disk database into.
+    _store_class = CompactDiGraphStore
 
     # -- vectorized batch kernel --------------------------------------------
 

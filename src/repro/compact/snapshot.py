@@ -187,7 +187,6 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
         at stamp ``(0, 0)``.
     """
     from repro.compact.db import CompactDatabase
-    from repro.compact.overlay import DeltaLog
     from repro.compact.store import CompactGraphStore
     from repro.points.points import NodePointSet
 
@@ -209,11 +208,9 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
     points = NodePointSet(
         {int(pid): int(node) for pid, node in meta["points"].items()}
     )
-    db = CompactDatabase.__new__(CompactDatabase)
-    db._init_state(CSRGraphAdapter(csr, coords=coords), points)
-    db.store = CompactGraphStore(order=order, csr=csr)
-    db._rebuild_view()
     if compact_threshold is None:
         compact_threshold = meta.get("compact_threshold")
-    db.log = DeltaLog(db.store, db.graph, points, threshold=compact_threshold)
+    db = CompactDatabase.__new__(CompactDatabase)
+    db._init_state(CSRGraphAdapter(csr, coords=coords), points)
+    db._adopt(CompactGraphStore(order=order, csr=csr), compact_threshold)
     return db

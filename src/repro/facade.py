@@ -20,9 +20,11 @@ method tuple, its view (``_view``), its RkNN dispatch (``_run_rknn``,
 the directed eager / eager-M / naive traversals) and a node-id
 ``_check_location``.
 
-A storage class calls :meth:`FacadeBase._init_state`, lays out its
-storage, builds its view with ``_rebuild_view()`` and implements the
-storage hooks:
+A storage class calls :meth:`FacadeBase._init_state`, which owns the
+point-set rules (``None`` is an empty node set, edge points need
+storage that pages an edge-point file, a point off the graph raises
+:class:`~repro.errors.PointError`), lays out its storage, builds its
+view with ``_rebuild_view()`` and implements the storage hooks:
 
 * ``disk`` -- the adjacency store the standard network views read:
   paged files, the sharded store (whose reads stitch the shards'
@@ -32,8 +34,16 @@ storage hooks:
   ``_label_store`` overrides that keep them in memory;
 * ``_landmark_distances(source)`` -- one landmark's distance table
   (default: a charged Dijkstra over ``disk``);
-* ``read_clone()`` and ``clear_buffer()`` (paged stores hand a clone
-  its own buffer with :func:`~repro.storage.buffer.rebuffered`).
+* ``_clone_storage()`` -- a clone's private read state.  The one
+  :meth:`FacadeBase.read_clone` copies the database, zeroes the
+  tracker, calls this hook and rebinds the views; paged stores give
+  the clone its own buffer and re-point every side file at it
+  (``_rebuffer_side_files``);
+* ``clear_buffer()``.
+
+One storage mixin per backend implements them for both directions:
+``_DiskStorage`` in :mod:`repro.api`, ``_ShardedStorage`` in
+:mod:`repro.shard.db` and ``_CompactStorage`` in :mod:`repro.compact.db`.
 
 Storage that charges I/O outside the facade's tracker overrides
 ``_measure`` / ``_folded`` / ``reset_stats`` (the sharded store).
@@ -45,6 +55,7 @@ each write to its log and bumps ``generation`` (the compact
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import AbstractSet, Iterable, Sequence
 
@@ -126,13 +137,30 @@ class FacadeBase:
     #: Query methods :meth:`rknn` accepts.
     methods: tuple[str, ...] = ()
 
-    def _init_state(self, graph, points: PointSet) -> None:
+    #: Storage hook paging an unrestricted point set into its own point
+    #: file; ``None`` where the storage serves node-resident points only.
+    _edge_points = None
+
+    def _init_state(self, graph, points: PointSet | None) -> None:
         """Start the query state over ``graph`` and ``points``.
 
-        Every facade begins here -- constructors and the loaders that
-        bypass them alike -- then lays out its storage and calls
-        ``_rebuild_view()``.
+        Every facade begins here -- constructors, promotions and
+        snapshot loads alike -- then lays out its storage and calls
+        ``_rebuild_view()``.  ``None`` points become an empty
+        :class:`~repro.points.points.NodePointSet`.  An
+        :class:`~repro.points.points.EdgePointSet` raises
+        :class:`~repro.errors.QueryError` unless the storage pages an
+        edge-point file (``_edge_points``), and a point off the graph
+        raises :class:`~repro.errors.PointError`.
         """
+        if points is None:
+            points = NodePointSet({})
+        if not points.restricted and self._edge_points is None:
+            raise QueryError(
+                f"{type(self).__name__} serves restricted networks "
+                "(NodePointSet); edge-resident points are unsupported"
+            )
+        points.validate(graph)
         self.graph = graph
         self.points = points
         self.tracker = CostTracker()
@@ -149,6 +177,10 @@ class FacadeBase:
         """The ``(buffer, packing order)`` side files are paged with."""
         raise NotImplementedError
 
+    def _clone_storage(self) -> None:
+        """Give a fresh clone its private read state (see :meth:`read_clone`)."""
+        raise NotImplementedError
+
     def _knn_store(self, capacity: int, lists):
         """Lay out materialized K-NN lists (paged in packing order)."""
         buffer, order = self._paging()
@@ -157,12 +189,22 @@ class FacadeBase:
             page_size=self.page_size, order=order,
         )
 
-    def _rebuffer_lists(self, buffer) -> None:
-        """Re-point this session's paged K-NN lists at ``buffer``."""
-        if self.materialized is not None:
-            self.materialized = MaterializedKNN(
-                rebuffered(self.materialized.store, buffer)
-            )
+    def _rebuffer_side_files(self, buffer) -> None:
+        """Re-point every paged side file of this session at ``buffer``.
+
+        The side files are the K-NN lists and edge-point files over P
+        and, on undirected networks, over the reference set Q, and the
+        landmark label file.  :func:`~repro.storage.buffer.rebuffered`
+        gives the files the head rewrites their own page tables, so a
+        clone keeps the lists and points it was made with.
+        """
+        for lists in ("materialized", "_ref_materialized"):
+            mat = getattr(self, lists, None)
+            if mat is not None:
+                setattr(self, lists, MaterializedKNN(rebuffered(mat.store, buffer)))
+        for name in ("_edge_store", "_ref_edge_store", "oracle_store"):
+            if hasattr(self, name):
+                setattr(self, name, rebuffered(getattr(self, name), buffer))
 
     def _rebuild_view(self) -> None:
         """Rebuild the query view over the current points and tracker."""
@@ -178,6 +220,35 @@ class FacadeBase:
     def _log_write(self, kind: str, **fields) -> None:
         """Publish one point write (hook; default: bump the generation)."""
         self.generation += 1
+
+    # -- sessions ---------------------------------------------------------
+
+    def read_clone(self):
+        """A read-only session answering from the state at clone time.
+
+        The clone shares this database's storage images, graph and
+        point set but owns a zeroed cost tracker and whatever private
+        read state its storage needs: on the paged backends a cold
+        buffer of its own (one per shard, plus the side-file buffer, on
+        sharded storage) and its own page tables for the side files the
+        head rewrites in place; on the compact backends nothing but the
+        K-NN lists, shared and copied on write, so the clone costs
+        constant time.  Concurrent read-only sessions therefore never
+        race on LRU state or counters, and every clone keeps answering
+        from the lists and points it was made with while the head keeps
+        writing.  Clones are for *reading*: a compact clone refuses
+        writes, and writes through any other clone are unsupported.
+
+        Returns
+        -------
+        FacadeBase
+            A session of this database's own class.
+        """
+        clone = copy.copy(self)
+        clone.tracker = CostTracker()
+        clone._clone_storage()
+        clone._rebind_views()
+        return clone
 
     # -- cost measurement -------------------------------------------------
 
@@ -645,13 +716,6 @@ class UndirectedFacade(FacadeBase):
             raise QueryError(
                 "the distance oracle serves restricted networks "
                 "(node-resident points)"
-            )
-
-    def _rebuffer_lists(self, buffer) -> None:
-        super()._rebuffer_lists(buffer)
-        if self._ref_materialized is not None:
-            self._ref_materialized = MaterializedKNN(
-                rebuffered(self._ref_materialized.store, buffer)
             )
 
     def _rebind_views(self) -> None:

@@ -13,6 +13,9 @@ Two orderings are provided:
 * :func:`hilbert_order` -- Hilbert space-filling-curve order for graphs
   with coordinates (road networks), which clusters spatially.
 
+:func:`packing_order` resolves a database's ``node_order`` name to one
+of them.
+
 :func:`partition_nodes` turns an ordering plus per-node record sizes
 into the page assignment consumed by the disk stores.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from repro.errors import GraphError
+from repro.errors import GraphError, QueryError
 from repro.graph.graph import Graph
 from repro.storage.page import DEFAULT_PAGE_SIZE, pack_records
 
@@ -78,6 +81,19 @@ def hilbert_order(graph: Graph, bits: int = 16) -> list[int]:
         return _hilbert_d(bits, x, y)
 
     return sorted(graph.nodes(), key=key)
+
+
+def packing_order(graph: Graph, name: str) -> list[int]:
+    """The page-packing order called ``name``: ``"bfs"`` or ``"hilbert"``.
+
+    Raises :class:`~repro.errors.QueryError` for any other name (the
+    databases take it as their ``node_order`` argument).
+    """
+    if name == "bfs":
+        return bfs_order(graph)
+    if name == "hilbert":
+        return hilbert_order(graph)
+    raise QueryError(f"unknown node_order {name!r}")
 
 
 def _hilbert_d(bits: int, x: int, y: int) -> int:

@@ -33,6 +33,7 @@ class PointSet:
         raise NotImplementedError
 
     def ids(self) -> Iterator[int]:
+        """Iterate the point ids."""
         raise NotImplementedError
 
     def validate(self, graph: Graph) -> None:
@@ -69,6 +70,7 @@ class NodePointSet(PointSet):
         return pid in self._node_of
 
     def ids(self) -> Iterator[int]:
+        """Iterate the point ids."""
         return iter(self._node_of)
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -87,6 +89,8 @@ class NodePointSet(PointSet):
         return self._point_at.get(node)
 
     def validate(self, graph: Graph) -> None:
+        """Raise :class:`PointError` for a point on a node outside
+        ``graph`` (any graph with ``num_nodes``, directed ones too)."""
         for pid, node in self._node_of.items():
             if not 0 <= node < graph.num_nodes:
                 raise PointError(f"point {pid} lies on unknown node {node}")
@@ -150,6 +154,7 @@ class EdgePointSet(PointSet):
         return pid in self._loc_of
 
     def ids(self) -> Iterator[int]:
+        """Iterate the point ids."""
         return iter(self._loc_of)
 
     def items(self) -> Iterator[tuple[int, tuple[int, int, float]]]:
@@ -172,6 +177,8 @@ class EdgePointSet(PointSet):
         return iter(self._points_on)
 
     def validate(self, graph: Graph) -> None:
+        """Raise :class:`PointError` for a point on an edge ``graph``
+        lacks, or at an offset past the edge's weight."""
         for pid, (u, v, pos) in self._loc_of.items():
             if not graph.has_edge(u, v):
                 raise PointError(f"point {pid} lies on missing edge ({u}, {v})")

@@ -25,19 +25,12 @@ inherits the :class:`~repro.api_directed.DirectedGraphDatabase` surface
 
 from __future__ import annotations
 
-import copy
-
-from repro.errors import QueryError
 from repro.facade import DirectedFacade, UndirectedFacade
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.points.points import NodePointSet
-from repro.shard.store import (
-    DEFAULT_BUFFER_PAGES,
-    ShardedDiGraphStore,
-    ShardedGraphStore,
-)
-from repro.storage.buffer import BufferManager
+from repro.shard.store import ShardedDiGraphStore, ShardedGraphStore
+from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferManager
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
 
@@ -118,30 +111,20 @@ class _ShardedStorage:
         self.store.reset_trackers()
 
     def clear_buffer(self) -> None:
-        """Drop every shard's buffered pages (cold-start the next query)."""
+        """Drop every buffered page: each shard's and the side files'
+        (cold-start the next query)."""
         self.store.clear_buffers()
+        self._side_buffer.clear()
 
-    def read_clone(self):
-        """A read-only session over the same serialized shard pages.
-
-        Returns
-        -------
-        ShardedDatabase or ShardedDirectedDatabase
-            A clone sharing every shard's page images but owning
-            private cold buffers and zeroed trackers (per shard and
-            global), so concurrent read-only sessions never race on
-            LRU state or counters.  Running updates through a clone is
-            unsupported.
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.store = self.store.read_clone()
-        clone._side_buffer = BufferManager(
-            self._side_buffer.capacity_pages, clone.tracker
+    def _clone_storage(self) -> None:
+        """Private cold buffers and zeroed trackers per shard (over the
+        same shard page images), and a cold side-file buffer in front
+        of the clone's copies of the side files."""
+        self.store = self.store.read_clone()
+        self._side_buffer = BufferManager(
+            self._side_buffer.capacity_pages, self.tracker
         )
-        clone._rebuffer_lists(clone._side_buffer)
-        clone._rebind_views()
-        return clone
+        self._rebuffer_side_files(self._side_buffer)
 
     # -- shard introspection ------------------------------------------------
 
@@ -216,14 +199,6 @@ class ShardedDatabase(_ShardedStorage, UndirectedFacade):
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         node_order: str = "bfs",
     ):
-        if points is None:
-            points = NodePointSet({})
-        if not isinstance(points, NodePointSet):
-            raise QueryError(
-                "the sharded backend serves restricted networks "
-                "(NodePointSet); edge-resident points are unsupported"
-            )
-        points.validate(graph)
         self._init_state(graph, points)
         self._init_storage(
             ShardedGraphStore(
@@ -232,7 +207,7 @@ class ShardedDatabase(_ShardedStorage, UndirectedFacade):
                 order=node_order,
                 page_size=page_size,
                 buffer_pages=buffer_pages,
-                point_nodes=frozenset(node for _, node in points.items()),
+                point_nodes=frozenset(node for _, node in self.points.items()),
             ),
             page_size,
             buffer_pages,
@@ -257,11 +232,6 @@ class ShardedDirectedDatabase(_ShardedStorage, DirectedFacade):
         page_size: int = DEFAULT_PAGE_SIZE,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
     ):
-        if points is None:
-            points = NodePointSet({})
-        for pid, node in points.items():
-            if not 0 <= node < graph.num_nodes:
-                raise QueryError(f"point {pid} lies on unknown node {node}")
         self._init_state(graph, points)
         self._init_storage(
             ShardedDiGraphStore(
@@ -269,7 +239,7 @@ class ShardedDirectedDatabase(_ShardedStorage, DirectedFacade):
                 num_shards=num_shards,
                 page_size=page_size,
                 buffer_pages=buffer_pages,
-                point_nodes=frozenset(node for _, node in points.items()),
+                point_nodes=frozenset(node for _, node in self.points.items()),
             ),
             page_size,
             buffer_pages,

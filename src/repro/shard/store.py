@@ -38,15 +38,11 @@ from repro.errors import StorageError
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.shard.partition import ShardPlan, cut_digraph, cut_graph
-from repro.storage.buffer import BufferManager, rebuffered
+from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferManager, rebuffered
 from repro.storage.disk import DiskGraph
 from repro.storage.disk_directed import DiskDiGraph
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
-
-#: Default per-shard buffer, matching the single store's 256-page LRU:
-#: each shard models an independent host with its own buffer pool.
-DEFAULT_BUFFER_PAGES = 256
 
 #: A boundary entry: original adjacency position -> (neighbor, weight).
 CutArcs = dict[int, tuple[int, float]]
@@ -337,9 +333,10 @@ class ShardedGraphStore(_ShardedStoreBase):
         A precomputed :class:`~repro.shard.partition.ShardPlan`.
     page_size / buffer_pages:
         Storage parameters.  ``buffer_pages`` is the **per-shard** LRU
-        budget: each shard models an independent storage host with its
-        own buffer pool, mirroring the multi-host deployment the
-        backend is a stepping stone toward.
+        budget, by default the single store's 256 pages: each shard
+        models an independent storage host with its own buffer pool,
+        mirroring the multi-host deployment the backend is a stepping
+        stone toward.
     point_nodes:
         Nodes carrying data points (sets the adjacency records'
         has-point flag, as in the unsharded store).

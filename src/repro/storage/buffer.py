@@ -22,15 +22,21 @@ from repro.storage.stats import CostTracker
 
 PageKey = Hashable
 
+#: Default LRU buffer of the paper's evaluation: 1 MB = 256 pages of 4 KB.
+DEFAULT_BUFFER_PAGES = 256
+
 
 def rebuffered(store, buffer):
     """A shallow copy of a paged ``store`` reading through ``buffer``.
 
     A :class:`~repro.storage.disk_directed.DiskDiGraph` is copied with
     both of its direction files, so the parent's files keep their
-    buffer.  ``None`` passes through, so optional side files clone in
-    one call.
+    buffer.  The files a database rewrites in place -- K-NN lists and
+    edge-point files -- get their own page tables, so the copy keeps
+    reading the pages it was made with while the parent writes.
+    ``None`` passes through, so optional side files clone in one call.
     """
+    from repro.storage.disk import EdgePointStore, KnnListStore
     from repro.storage.disk_directed import DiskDiGraph
 
     if store is None:
@@ -39,8 +45,12 @@ def rebuffered(store, buffer):
     if isinstance(store, DiskDiGraph):
         clone._forward = rebuffered(store._forward, buffer)
         clone._backward = rebuffered(store._backward, buffer)
-    else:
-        clone.buffer = buffer
+        return clone
+    clone.buffer = buffer
+    if isinstance(store, (KnnListStore, EdgePointStore)):
+        clone._pages = list(store._pages)
+        clone._spans = list(store._spans)
+        clone._page_of = copy.copy(store._page_of)
     return clone
 
 

@@ -52,7 +52,10 @@ class _StandingQueries:
     against the last.  A subclass supplies only its membership rule,
     :meth:`_closer_counter`.  Directed networks are refused: a field
     from ``q`` gives ``d(q -> n)``, not the ``d(n -> q)`` the rule
-    needs.
+    needs.  So is a network changed after registration: once an edge
+    write has replaced the database's adjacency store, the fields are
+    stale, and every update and refresh raises
+    :class:`~repro.errors.QueryError` before writing anything.
     """
 
     #: Fewest standing queries the membership rule needs, and the error
@@ -78,6 +81,8 @@ class _StandingQueries:
                 raise QueryError(f"query {qid} node {node} out of range")
         self.db = db
         self.k = k
+        # an edge write swaps the store; point writes keep it
+        self._network = db.disk
         self._prepare()
         self._queries = dict(queries)
         self._fields = {
@@ -94,11 +99,13 @@ class _StandingQueries:
 
     def insert(self, pid: int, location: Location) -> list[MembershipEvent]:
         """Feed a point insertion; returns the membership changes."""
+        self._require_network()
         self.db.insert_point(pid, location)
         return self._refresh()
 
     def delete(self, pid: int) -> list[MembershipEvent]:
         """Feed a point deletion; returns the membership changes."""
+        self._require_network()
         self.db.delete_point(pid)
         return self._refresh()
 
@@ -110,7 +117,18 @@ class _StandingQueries:
         and refreshes every subscribed monitor): recomputes every
         membership and returns the changes since the last evaluation.
         """
+        self._require_network()
         return self._refresh()
+
+    def _require_network(self) -> None:
+        """Raise once the database's network differs from the one the
+        distance fields were computed over."""
+        if self.db.disk is not self._network:
+            raise QueryError(
+                f"{type(self).__name__} was registered over another "
+                "network: an edge write has replaced it since, so the "
+                "distance fields are stale"
+            )
 
     # -- results and aggregates ---------------------------------------------------
 

@@ -27,6 +27,8 @@ TARGETS = [
     str(ROOT / "src" / "repro" / "obs"),
     str(ROOT / "src" / "repro" / "core"),
     str(ROOT / "src" / "repro" / "streams"),
+    str(ROOT / "src" / "repro" / "points"),
+    str(ROOT / "src" / "repro" / "graph" / "partition.py"),
 ]
 
 

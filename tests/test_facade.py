@@ -1,11 +1,15 @@
-"""Input rules every facade shares, checked over all six databases.
+"""Rules every facade shares, checked over all six databases.
 
 The disk, sharded and compact databases (undirected and directed)
-inherit their query and update methods from :mod:`repro.facade`, so
-one rule holds for all six: a point on a node outside the graph is
-refused with :class:`~repro.errors.PointError` before anything is
-written, and a query location that is not a node id is a
-:class:`~repro.errors.QueryError`.
+inherit their constructors' point rules, their query and update
+methods and their clones from :mod:`repro.facade`, so one rule holds
+for all six: a point on a node outside the graph is refused with
+:class:`~repro.errors.PointError` (at construction, or before anything
+is written), edge-resident points are a
+:class:`~repro.errors.QueryError` wherever the storage pages no
+edge-point file, and so is a query location that is not a node id.  A
+clone answers from the state at clone time, and ``clear_buffer()``
+cold-starts every query alike.
 """
 
 from __future__ import annotations
@@ -46,16 +50,92 @@ FACADES = {
 }
 
 
+def make_network(rng, num_nodes=NUM_NODES):
+    """A random graph and the digraph of its edges in both directions,
+    one unit longer backward."""
+    graph = build_random_graph(rng, num_nodes, num_nodes // 2)
+    arcs = [arc for u, v, w in graph.edges() for arc in ((u, v, w), (v, u, w + 1))]
+    return graph, DiGraph.from_arcs(arcs, num_nodes=num_nodes)
+
+
 @pytest.fixture(scope="module")
 def network():
-    graph = build_random_graph(random.Random(7), NUM_NODES, NUM_NODES // 2)
-    arcs = [arc for u, v, w in graph.edges() for arc in ((u, v, w), (v, u, w + 1))]
-    digraph = DiGraph.from_arcs(arcs, num_nodes=NUM_NODES)
-    return graph, digraph, NodePointSet({0: 1, 1: 5, 2: 9, 3: 14})
+    return (*make_network(random.Random(7)), NodePointSet({0: 1, 1: 5, 2: 9, 3: 14}))
 
 
 def build(name, network):
     return FACADES[name](*network)
+
+
+@pytest.mark.parametrize("node", [NUM_NODES + 5, -1])
+@pytest.mark.parametrize("name", sorted(FACADES))
+def test_constructor_rejects_unknown_node(name, node, network):
+    graph, digraph, _ = network
+    with pytest.raises(PointError, match=f"point 1 lies on unknown node {node}"):
+        FACADES[name](graph, digraph, NodePointSet({0: 3, 1: node}))
+
+
+@pytest.mark.parametrize("name", sorted(set(FACADES) - {"disk"}))
+def test_restricted_facades_reject_edge_points(name, network):
+    graph, digraph, _ = network
+    u, v, weight = next(iter(graph.edges()))
+    points = EdgePointSet({0: (min(u, v), max(u, v), weight / 2)})
+    with pytest.raises(QueryError, match="restricted"):
+        FACADES[name](graph, digraph, points)
+
+
+@pytest.mark.parametrize("name", sorted(FACADES))
+def test_clone_answers_from_state_at_clone_time(name):
+    for seed in range(6):
+        rng = random.Random(seed)
+        graph, digraph = make_network(rng)
+        nodes = rng.sample(range(NUM_NODES), 8)
+        db = FACADES[name](graph, digraph, NodePointSet(dict(enumerate(nodes[:6]))))
+        db.materialize(4)
+        clone = db.read_clone()
+        queries = range(0, NUM_NODES, 3)
+        before = [clone.rknn(q, 2, "eager-m").points for q in queries]
+        db.insert_point(100, nodes[6])
+        db.insert_point(101, nodes[7])
+        clone.clear_buffer()
+        assert [clone.rknn(q, 2, "eager-m").points for q in queries] == before
+
+
+def test_unrestricted_clone_keeps_its_edge_point_file(network):
+    graph, _, _ = network
+    (a, b, wa), (c, d, wc) = [(min(u, v), max(u, v), w)
+                              for u, v, w in list(graph.edges())[:2]]
+    db = GraphDatabase(graph, EdgePointSet({0: (a, b, wa / 2)}))
+    clone = db.read_clone()
+    before = [clone.knn(node, 2).neighbors for node in (a, c)]
+    db.insert_point(1, (c, d, wc / 2))
+    db.delete_point(0)
+    clone.clear_buffer()
+    assert [clone.knn(node, 2).neighbors for node in (a, c)] == before
+
+
+@pytest.mark.parametrize("name", ["disk", "sharded"])
+def test_clone_reads_its_label_file_through_its_own_buffer(name, network):
+    db = build(name, network)
+    db.build_oracle(2)
+    clone = db.read_clone()
+    before = db.tracker.snapshot()
+    clone.oracle_store.get(0)
+    assert clone.tracker.page_reads == 1
+    assert db.tracker.diff(before).page_reads == 0
+
+
+@pytest.mark.parametrize("name", sorted(FACADES))
+def test_cold_runs_charge_equal_page_reads(name):
+    graph, digraph = make_network(random.Random(3), num_nodes=200)
+    nodes = random.Random(4).sample(range(200), 20)
+    db = FACADES[name](graph, digraph, NodePointSet(dict(enumerate(nodes))))
+    db.materialize(4)
+    reads = []
+    for _ in range(3):
+        db.clear_buffer()
+        reads.append(db.rknn(nodes[0], 2, "eager-m").counters.page_reads)
+    assert reads == [reads[0]] * 3
 
 
 @pytest.mark.parametrize("node", [999, -1])
