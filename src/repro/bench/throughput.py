@@ -20,7 +20,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.api import GraphDatabase
+from repro.api import METHODS, GraphDatabase
 from repro.bench.harness import (
     ThroughputReport,
     run_throughput_benchmark,
@@ -84,7 +84,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="arrivals per distinct query")
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--method", default="eager",
-                        choices=("eager", "lazy", "eager-m", "lazy-ep"))
+                        choices=METHODS)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--profile", action="store_true",

@@ -59,7 +59,7 @@ from repro.analytics import (
     network_report,
     recommend_method,
 )
-from repro.api import GraphDatabase
+from repro.api import METHODS, GraphDatabase
 from repro.datasets.brite import generate_brite
 from repro.datasets.dblp import generate_dblp
 from repro.datasets.grid import generate_grid
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "';' separates a script")
     query.add_argument("--k", type=int, default=1)
     query.add_argument("--method", default="eager",
-                       choices=("eager", "lazy", "eager-m", "lazy-ep"))
+                       choices=METHODS)
     query.add_argument("--materialize", type=int, default=0, metavar="K",
                        help="build K-NN lists before querying (for eager-m)")
     query.add_argument("--buffer-pages", type=int, default=DEFAULT_BUFFER_PAGES)

@@ -1,17 +1,12 @@
 """Query-processing core: the paper's RkNN algorithms and primitives."""
 
 from repro.core.baseline import brute_force_brknn, brute_force_knn, brute_force_rknn
-from repro.core.bichromatic import (
-    bichromatic_eager,
-    bichromatic_eager_m,
-    bichromatic_lazy,
-)
+from repro.core.bichromatic import bichromatic_eager, bichromatic_lazy
 from repro.core.continuous import continuous_rknn, validate_route
-from repro.core.eager import eager_rknn, eager_rknn_route
-from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
+from repro.core.eager import eager_m_rknn, eager_rknn
 from repro.core.expansion import distances_from, expand_nodes
-from repro.core.lazy import lazy_rknn, lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
+from repro.core.lazy import lazy_rknn
+from repro.core.lazy_ep import lazy_ep_rknn
 from repro.core.materialize import MaterializedKNN, all_nn
 from repro.core.network import NetworkView
 from repro.core.nn import knn, range_nn, verify
@@ -25,7 +20,6 @@ __all__ = [
     "UpdateResult",
     "all_nn",
     "bichromatic_eager",
-    "bichromatic_eager_m",
     "bichromatic_lazy",
     "brute_force_brknn",
     "brute_force_knn",
@@ -33,15 +27,11 @@ __all__ = [
     "continuous_rknn",
     "distances_from",
     "eager_m_rknn",
-    "eager_m_rknn_route",
     "eager_rknn",
-    "eager_rknn_route",
     "expand_nodes",
     "knn",
     "lazy_ep_rknn",
-    "lazy_ep_rknn_route",
     "lazy_rknn",
-    "lazy_rknn_route",
     "range_nn",
     "validate_route",
     "verify",

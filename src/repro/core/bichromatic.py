@@ -10,7 +10,9 @@ Key simplification exploited by :func:`bichromatic_eager`: the main
 expansion knows the exact distance ``d(n, q)`` when ``n`` is de-heaped,
 so the same range-NN probe that implements the Lemma 1 prune *is* the
 qualification test -- fewer than k Q-points strictly closer means the
-node qualifies, no verification phase needed.
+node qualifies, no verification phase needed.  Eager-M is the same loop
+handed K-NN lists materialized over Q: a node's list answers the test
+unless it is full and ends strictly below ``d(n, q)``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.core.network import NetworkView
 from repro.core.nn import range_nn
 from repro.core.numeric import strictly_less
 from repro.core.pq import CountingHeap
-from repro.errors import QueryError
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -34,11 +35,15 @@ def bichromatic_eager(
     query_node: int,
     k: int = 1,
     exclude: AbstractSet[int] = _EMPTY,
+    lists: MaterializedKNN | None = None,
 ) -> list[int]:
-    """Bichromatic RkNN by eager expansion over the reference set.
+    """Bichromatic RkNN by eager expansion over the reference set;
+    eager-M when given K-NN ``lists`` materialized *over Q*.
 
     ``exclude`` removes reference (Q) points for the query's duration.
     """
+    if lists is not None:
+        lists.check_capacity(k)
     heap = CountingHeap(ref_view.tracker)
     heap.push(0.0, query_node)
     visited: set[int] = set()
@@ -49,8 +54,7 @@ def bichromatic_eager(
             continue
         visited.add(node)
         ref_view.tracker.nodes_visited += 1
-        closer = range_nn(ref_view, node, k, dist, exclude)
-        if len(closer) >= k:
+        if not _qualifies(ref_view, lists, node, k, dist, exclude):
             # k reference points strictly closer than the query: the node
             # does not qualify and (Lemma 1) neither does anything beyond.
             continue
@@ -65,59 +69,30 @@ def bichromatic_eager(
     return sorted(result)
 
 
-def bichromatic_eager_m(
-    data_view: NetworkView,
+def _qualifies(
     ref_view: NetworkView,
-    materialized: MaterializedKNN,
-    query_node: int,
-    k: int = 1,
-    exclude: AbstractSet[int] = _EMPTY,
-) -> list[int]:
-    """Bichromatic RkNN using K-NN lists materialized *over Q*.
-
-    The paper's adaptation (Section 5.1): "for eager-M, we simply
-    materialize the set KNN(n) subset-of Q for each node n".
-    """
-    if k > materialized.capacity:
-        raise QueryError(
-            f"k={k} exceeds the materialized capacity K={materialized.capacity}"
-        )
-    heap = CountingHeap(ref_view.tracker)
-    heap.push(0.0, query_node)
-    visited: set[int] = set()
-    result: list[int] = []
-    while heap:
-        dist, node = heap.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        ref_view.tracker.nodes_visited += 1
-        raw = materialized.get(node)
-        entries = [(pid, pdist) for pid, pdist in raw if pid not in exclude]
-        closer = [entry for entry in entries if strictly_less(entry[1], dist)]
+    lists: MaterializedKNN | None,
+    node: int,
+    k: int,
+    dist: float,
+    exclude: AbstractSet[int],
+) -> bool:
+    """Whether fewer than ``k`` reference points are strictly closer to
+    ``node`` than ``dist``: by a range-NN probe, or from the node's list
+    when one is given and covers every point below ``dist``."""
+    if lists is not None:
+        raw = lists.get(node)
+        closer = [
+            pdist for pid, pdist in raw
+            if pid not in exclude and strictly_less(pdist, dist)
+        ]
         if len(closer) >= k:
-            continue
-        truncated = (
-            len(raw) == materialized.capacity
-            and strictly_less(raw[-1][1], dist)
-        )
-        if truncated:
-            # Points beyond the K-th stored entry could still be strictly
-            # closer than the query: fall back to an exact probe.
-            qualified = len(range_nn(ref_view, node, k, dist, exclude)) < k
-        else:
-            qualified = True  # the stored list covers everything below dist
-        if not qualified:
-            continue
-        pid = data_view.point_at(node)
-        if pid is not None:
-            result.append(pid)
-        neighbors = ref_view.neighbors(node)
-        ref_view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
-    return sorted(result)
+            return False
+        if len(raw) < lists.capacity or not strictly_less(raw[-1][1], dist):
+            return True  # the stored list covers everything below dist
+        # Points beyond the K-th stored entry could still be strictly
+        # closer than the query: fall back to an exact probe.
+    return len(range_nn(ref_view, node, k, dist, exclude)) < k
 
 
 def bichromatic_lazy(
@@ -158,9 +133,8 @@ def bichromatic_lazy(
                 # strictly closer to it than the query, k times over).
                 continue
         data_pid = data_view.point_at(node)
-        if data_pid is not None:
-            if len(range_nn(ref_view, node, k, dist, exclude)) < k:
-                result.append(data_pid)
+        if data_pid is not None and _qualifies(ref_view, None, node, k, dist, exclude):
+            result.append(data_pid)
         entry_ids = []
         neighbors = ref_view.neighbors(node)
         ref_view.tracker.edges_expanded += len(neighbors)

@@ -1,30 +1,42 @@
-"""Continuous RkNN queries along routes (Section 5.1).
+"""Continuous RkNN queries along routes (Section 5.1) and the one table
+of undirected RkNN methods.
 
 For objects moving on a graph the paper replaces Euclidean continuous
 queries by route queries: given a route ``r = <n_1, ..., n_r>`` (a walk
 along edges), ``cRkNN(r)`` is the union of the RkNN sets of the route's
-nodes.  All four algorithms support routes natively by seeding their
-heaps with every route node at distance 0, which realizes the route
-distance ``d(r, n) = min_i d(n_i, n)``; this module adds route
-validation and a method dispatcher.
+nodes.  Every traversal takes source nodes and seeds its heap with each
+of them at distance 0, which realizes the route distance
+``d(r, n) = min_i d(n_i, n)``; a single query is a one-node route.
+:func:`run_rknn` picks a method's traversal from :data:`TRAVERSALS` for
+the facades and for :func:`continuous_rknn`, which adds route
+validation.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Sequence
 
-from repro.core.eager import eager_rknn_route
-from repro.core.eager_m import eager_m_rknn_route
-from repro.core.lazy import lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn_route
+from repro.core import unrestricted
+from repro.core.eager import eager
+from repro.core.lazy import lazy
+from repro.core.lazy_ep import lazy_ep
 from repro.core.materialize import MaterializedKNN
 from repro.core.network import NetworkView
 from repro.errors import QueryError
 
 _EMPTY: frozenset[int] = frozenset()
 
-#: Methods accepted by :func:`continuous_rknn`.
-METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
+#: Each method's traversal on restricted and on unrestricted networks;
+#: eager-M is eager's loop handed the K-NN lists.
+TRAVERSALS = {
+    "eager": (eager, unrestricted.unrestricted_eager),
+    "lazy": (lazy, unrestricted.unrestricted_lazy),
+    "eager-m": (eager, unrestricted.unrestricted_eager),
+    "lazy-ep": (lazy_ep, unrestricted.unrestricted_lazy_ep),
+}
+
+#: Methods accepted by :func:`continuous_rknn` and the undirected facades.
+METHODS = tuple(TRAVERSALS)
 
 
 def validate_route(view: NetworkView, route: Sequence[int]) -> None:
@@ -49,6 +61,28 @@ def validate_route(view: NetworkView, route: Sequence[int]) -> None:
             raise QueryError(f"route hop ({prev}, {nxt}) is not an edge")
 
 
+def run_rknn(
+    view: NetworkView,
+    query: unrestricted.Location | None,
+    route: Sequence[int] | None,
+    k: int,
+    method: str,
+    lists: MaterializedKNN | None = None,
+    exclude: AbstractSet[int] = _EMPTY,
+) -> list[int]:
+    """RkNN under ``method`` of one query location, or along ``route``
+    (with ``query`` ``None``); ``eager-m`` reads the K-NN ``lists``."""
+    if method not in TRAVERSALS:
+        raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
+    on_nodes, on_edges = TRAVERSALS[method]
+    if method == "eager-m" and lists is None:
+        raise QueryError("method 'eager-m' needs materialized K-NN lists")
+    extra = (lists,) if method == "eager-m" else ()
+    if view.restricted:
+        return on_nodes(view, [query] if route is None else route, k, exclude, *extra)
+    return on_edges(view, query, k, exclude, route, *extra)
+
+
 def continuous_rknn(
     view: NetworkView,
     route: Sequence[int],
@@ -66,14 +100,4 @@ def continuous_rknn(
     """
     if validate:
         validate_route(view, route)
-    if method == "eager":
-        return eager_rknn_route(view, route, k, exclude)
-    if method == "lazy":
-        return lazy_rknn_route(view, route, k, exclude)
-    if method == "lazy-ep":
-        return lazy_ep_rknn_route(view, route, k, exclude)
-    if method == "eager-m":
-        if materialized is None:
-            raise QueryError("method 'eager-m' needs materialized K-NN lists")
-        return eager_m_rknn_route(view, materialized, route, k, exclude)
-    raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
+    return run_rknn(view, None, route, k, method, materialized, exclude)

@@ -31,11 +31,12 @@ distance ``d(p -> q)`` is available whenever it matters.
 Unlike the undirected case, lazy evaluation does not transfer: a
 verification discovers forward distances ``d(p -> m)``, which say
 nothing about ``d(m -> p)``, so discovered points cannot prune the
-backward traversal.  The module therefore provides ``eager``,
-``eager-m`` (whose verification collapses to a single list read) and
-the ``naive`` full backward sweep as the baseline.
+backward traversal.  The module therefore provides ``eager``, eager-M
+(eager's loop handed the forward K-NN lists: a node's list supplies
+its witnesses, and a candidate's verification collapses to a single
+list read) and the ``naive`` full backward sweep as the baseline.
 
-Only those three traversals are directed code.  An undirected edge is
+Only those traversals are directed code.  An undirected edge is
 an arc in both directions, so the forward probes are the shared ones of
 :mod:`repro.core.nn` and the forward K-NN lists are built and
 maintained by :mod:`repro.core.materialize`, both run over a
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from typing import AbstractSet
 
-from repro.core.materialize import MaterializedKNN
+from repro.core.materialize import MaterializedKNN, kth_other
 from repro.core.network import NetworkView
 from repro.core.nn import range_nn, verify
 from repro.core.numeric import strictly_less
@@ -97,7 +98,7 @@ def directed_rknn(
     if method == "eager-m":
         if materialized is None:
             raise QueryError("method 'eager-m' needs materialized K-NN lists")
-        return _directed_eager_m(view, materialized, query_node, k, exclude)
+        return _directed_eager(view, query_node, k, exclude, materialized)
     if method == "naive":
         return _directed_naive(view, query_node, k, exclude)
     raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
@@ -108,7 +109,12 @@ def _directed_eager(
     query_node: int,
     k: int,
     exclude: AbstractSet[int],
+    lists: MaterializedKNN | None = None,
 ) -> list[int]:
+    """Directed eager; eager-M when given the forward K-NN ``lists``."""
+    if lists is not None:
+        lists.check_capacity(k)
+    targets = (query_node,)
     heap = CountingHeap(view.tracker)
     heap.push(0.0, query_node)
     visited: set[int] = set()
@@ -120,13 +126,25 @@ def _directed_eager(
             continue
         visited.add(node)
         view.tracker.nodes_visited += 1
+        raw = None if lists is None else lists.get(node)
         pid = view.point_at(node)
         if pid is not None and pid not in exclude and pid not in checked:
             checked.add(pid)
-            # dist is d(p -> q) (exact whenever p can qualify)
-            if verify(view, pid, k, (query_node,), dist, exclude):
+            # dist is d(p -> q) (exact whenever p can qualify).  The list
+            # of p's node stores d(p -> x) exactly, so p qualifies iff
+            # d(p -> q) <= t, the k-th other entry; a list that
+            # exclusions leave short falls back to a verify query.
+            threshold = None if raw is None else kth_other(raw, lists.capacity, pid, k, exclude)
+            if threshold is None:
+                qualified = verify(view, pid, k, targets, dist, exclude)
+            else:
+                qualified = not strictly_less(threshold, dist)
+            if qualified:
                 result.append(pid)
-        closer = range_nn(view, node, k, dist, exclude)
+        if raw is None:
+            closer = range_nn(view, node, k, dist, exclude)
+        else:
+            closer = [e for e in raw if e[0] not in exclude and strictly_less(e[1], dist)]
         if len(closer) >= k:
             # Directed Lemma 1: beyond this node, only the witnesses
             # themselves can still qualify (a point never counts
@@ -134,8 +152,8 @@ def _directed_eager(
             for wpid, _ in closer:
                 if wpid not in checked:
                     checked.add(wpid)
-                    if verify(view, wpid, k, (query_node,), math.inf,
-                              exclude):
+                    if verify(view, wpid, k, targets,
+                              _witness_bound(view, lists, wpid, k, exclude), exclude):
                         result.append(wpid)
             continue
         neighbors = view.in_neighbors(node)
@@ -146,101 +164,25 @@ def _directed_eager(
     return sorted(result)
 
 
-def _directed_eager_m(
+def _witness_bound(
     view: DirectedView,
-    materialized: MaterializedKNN,
-    query_node: int,
-    k: int,
-    exclude: AbstractSet[int],
-) -> list[int]:
-    if k > materialized.capacity:
-        raise QueryError(
-            f"k={k} exceeds the materialized capacity K={materialized.capacity}"
-        )
-    heap = CountingHeap(view.tracker)
-    heap.push(0.0, query_node)
-    visited: set[int] = set()
-    checked: set[int] = set()  # points already verified
-    result: list[int] = []
-    while heap:
-        dist, node = heap.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        view.tracker.nodes_visited += 1
-        raw = materialized.get(node)
-        entries = [(p, d) for p, d in raw if p not in exclude]
-        pid = view.point_at(node)
-        if pid is not None and pid not in exclude and pid not in checked:
-            checked.add(pid)
-            if _list_verify(view, materialized, raw, entries, pid, k,
-                            query_node, dist, exclude):
-                result.append(pid)
-        closer = [e for e in entries if strictly_less(e[1], dist)]
-        if len(closer) >= k:
-            # same witness exception as _directed_eager: a candidate
-            # beyond this node escapes the k witnesses only by being
-            # one of them, so verify each witness before pruning
-            for wpid, _ in closer:
-                if wpid not in checked:
-                    checked.add(wpid)
-                    if _witness_qualifies(view, materialized, wpid, k,
-                                          query_node, exclude):
-                        result.append(wpid)
-            continue
-        neighbors = view.in_neighbors(node)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
-    return sorted(result)
-
-
-def _witness_qualifies(
-    view: DirectedView,
-    materialized: MaterializedKNN,
+    lists: MaterializedKNN | None,
     pid: int,
     k: int,
-    query_node: int,
     exclude: AbstractSet[int],
-) -> bool:
-    """Verify a pruning witness as a candidate (no known ``d(p -> q)``).
+) -> float:
+    """An upper bound of the forward verification of a pruning witness
+    (no ``d(p -> q)`` is known for it).
 
-    The witness's own list yields the exact k-th-competitor distance,
-    which bounds the forward verification expansion; a truncated or
-    exclusion-shortened list falls back to an unbounded expansion.
+    The witness's own list yields the exact k-th-competitor distance;
+    without lists, or with a truncated or exclusion-shortened list, the
+    expansion is unbounded.
     """
-    raw = materialized.get(view.node_of(pid))
-    others = [e for e in raw if e[0] != pid and e[0] not in exclude]
-    bound = others[k - 1][1] if len(others) >= k else math.inf
-    return verify(view, pid, k, (query_node,), bound, exclude)
-
-
-def _list_verify(
-    view: DirectedView,
-    materialized: MaterializedKNN,
-    raw: tuple[tuple[int, float], ...],
-    entries: list[tuple[int, float]],
-    pid: int,
-    k: int,
-    query_node: int,
-    dist: float,
-    exclude: AbstractSet[int],
-) -> bool:
-    """Verification through the candidate's own list.
-
-    The list of ``p``'s node stores ``d(n_p -> x) = d(p -> x)`` exactly,
-    so ``p`` qualifies iff ``d(p -> q) <= t`` with ``t`` the k-th other
-    entry; no expansion needed unless exclusions truncate the list.
-    """
-    others = [e for e in entries if e[0] != pid]
-    if len(others) >= k:
-        threshold = others[k - 1][1]
-    elif len(raw) < materialized.capacity:
-        threshold = math.inf  # untruncated: fewer than k others exist
-    else:
-        return verify(view, pid, k, (query_node,), dist, exclude)
-    return not strictly_less(threshold, dist)
+    if lists is None:
+        return math.inf
+    raw = lists.get(view.node_of(pid))
+    threshold = kth_other(raw, lists.capacity, pid, k, exclude)
+    return math.inf if threshold is None else threshold
 
 
 def _directed_naive(

@@ -29,17 +29,7 @@ def lazy_rknn(
     exclude: AbstractSet[int] = _EMPTY,
 ) -> list[int]:
     """Monochromatic RkNN of a query located on ``query_node``."""
-    return _lazy(view, [query_node], k, exclude)
-
-
-def lazy_rknn_route(
-    view: NetworkView,
-    route: Iterable[int],
-    k: int = 1,
-    exclude: AbstractSet[int] = _EMPTY,
-) -> list[int]:
-    """Continuous RkNN along a route (Section 5.1) using lazy evaluation."""
-    return _lazy(view, list(route), k, exclude)
+    return lazy(view, [query_node], k, exclude)
 
 
 class _LazyState:
@@ -67,12 +57,14 @@ class _LazyState:
                 self.heap.invalidate(entry_id)
 
 
-def _lazy(
+def lazy(
     view: NetworkView,
-    sources: list[int],
+    sources: Iterable[int],
     k: int,
-    exclude: AbstractSet[int],
+    exclude: AbstractSet[int] = _EMPTY,
 ) -> list[int]:
+    """RkNN of a query on every node of ``sources`` (a route query of
+    Section 5.1 when there are several), by lazy evaluation."""
     state = _LazyState(view, k)
     source_set = set(sources)
     for node in source_set:

@@ -9,13 +9,17 @@ smaller than the last distance de-heaped from the main heap ``H``, so
 by the time a node comes up in ``H`` its k nearest *discovered* points
 are known, and Lemma 1 prunes it immediately when the k-th of them is
 strictly closer than the query.
+
+:class:`ParallelExpansion` is that second heap for both network kinds:
+the unrestricted lazy-EP of :mod:`repro.core.unrestricted` hands it a
+function that locates a point on its edge.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from repro.core.network import NetworkView
 from repro.core.nn import verify
@@ -32,34 +36,35 @@ def lazy_ep_rknn(
     exclude: AbstractSet[int] = _EMPTY,
 ) -> list[int]:
     """Monochromatic RkNN of a query located on ``query_node``."""
-    return _lazy_ep(view, [query_node], k, exclude)
+    return lazy_ep(view, [query_node], k, exclude)
 
 
-def lazy_ep_rknn_route(
-    view: NetworkView,
-    route: Iterable[int],
-    k: int = 1,
-    exclude: AbstractSet[int] = _EMPTY,
-) -> list[int]:
-    """Continuous RkNN along a route using lazy-EP."""
-    return _lazy_ep(view, list(route), k, exclude)
+class ParallelExpansion:
+    """The second heap ``H'`` expanding discovered points in parallel.
 
+    ``locate(pid)`` gives the ``(node, offset)`` seeds of a point: its
+    node at offset 0 on a restricted network, its edge's endpoints on an
+    unrestricted one.  A point is located only when ``H'`` first sees
+    it, since locating an edge point reads adjacency.
+    """
 
-class _ParallelExpansion:
-    """The second heap ``H'`` expanding discovered points in parallel."""
-
-    def __init__(self, view: NetworkView, k: int, exclude: AbstractSet[int]):
+    def __init__(
+        self,
+        view: NetworkView,
+        k: int,
+        locate: Callable[[int], Iterable[tuple[int, float]]],
+    ):
         self.view = view
         self.k = k
-        self.exclude = exclude
+        self.locate = locate
         self.heap = CountingHeap(view.tracker)
         self.closed: set[tuple[int, int]] = set()  # (node, point)
         # node -> ascending (distance, point) of discovered points (<= k kept)
         self.knn_dists: dict[int, list[tuple[float, int]]] = {}
         self.discovered: set[int] = set()
 
-    def add_point(self, pid: int, node: int) -> None:
-        """Register a point the *main* expansion discovered on ``node``.
+    def add_point(self, pid: int) -> None:
+        """Register a point the *main* expansion discovered.
 
         Only main-discovered points seed ``H'``: they have already been
         checked for result membership, so Lemma 1 pruning based on them
@@ -68,7 +73,8 @@ class _ParallelExpansion:
         """
         if pid not in self.discovered:
             self.discovered.add(pid)
-            self.heap.push(0.0, (node, pid))
+            for node, offset in self.locate(pid):
+                self.heap.push(offset, (node, pid))
 
     def advance(self, limit: float) -> None:
         """Process every ``H'`` entry with distance strictly below ``limit``.
@@ -119,17 +125,19 @@ class _ParallelExpansion:
         return count
 
 
-def _lazy_ep(
+def lazy_ep(
     view: NetworkView,
-    sources: list[int],
+    sources: Iterable[int],
     k: int,
-    exclude: AbstractSet[int],
+    exclude: AbstractSet[int] = _EMPTY,
 ) -> list[int]:
+    """RkNN of a query on every node of ``sources`` (a route query of
+    Section 5.1 when there are several), by lazy-EP."""
     heap = CountingHeap(view.tracker)
     source_set = set(sources)
     for node in source_set:
         heap.push(0.0, node)
-    parallel = _ParallelExpansion(view, k, exclude)
+    parallel = ParallelExpansion(view, k, lambda pid: ((view.node_of(pid), 0.0),))
     visited: set[int] = set()
     checked: set[int] = set()
     result: list[int] = []
@@ -150,7 +158,7 @@ def _lazy_ep(
             if parallel.strictly_closer(node, dist, skip_pid=pid) < k:
                 if verify(view, pid, k, source_set, dist, exclude):
                     result.append(pid)
-            parallel.add_point(pid, node)
+            parallel.add_point(pid)
             # fold the just-discovered point (distance 0 from this node)
             # into the knn lists before the prune test below
             parallel.advance(dist)

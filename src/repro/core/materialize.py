@@ -23,15 +23,14 @@ directed network's forward lists.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from repro.core.network import NetworkView
 from repro.core.pq import CountingHeap
-from repro.errors import MaterializationError
-from repro.storage.buffer import BufferManager
+from repro.errors import MaterializationError, QueryError
 from repro.storage.disk import KnnListStore
-from repro.storage.page import DEFAULT_PAGE_SIZE
 
 Seed = tuple[int, int, float]  # (node, point id, initial distance)
 
@@ -74,6 +73,27 @@ def all_nn(
     return lists
 
 
+def kth_other(
+    entries: Sequence[tuple[int, float]],
+    capacity: int,
+    pid: int,
+    k: int,
+    exclude: AbstractSet[int],
+) -> float | None:
+    """Distance of the k-th point other than ``pid`` in a node's list.
+
+    ``inf`` when a list below capacity holds fewer than k others (the
+    list is not truncated, so fewer than k others exist in the whole
+    reachable network); ``None`` when a full list hides the k-th other.
+    """
+    others = [dist for other, dist in entries if other != pid and other not in exclude]
+    if len(others) >= k:
+        return others[k - 1]
+    if len(entries) < capacity:
+        return math.inf
+    return None
+
+
 class MaterializedKNN:
     """Disk-backed materialized K-NN lists with update maintenance."""
 
@@ -85,28 +105,10 @@ class MaterializedKNN:
         """The lists' capacity ``K`` (the largest servable ``k``)."""
         return self.store.capacity
 
-    @classmethod
-    def build(
-        cls,
-        view: NetworkView,
-        capacity: int,
-        seeds: Iterable[Seed],
-        buffer: BufferManager,
-        *,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        order: Sequence[int] | None = None,
-    ) -> "MaterializedKNN":
-        """Run all-NN and lay the lists out on disk pages."""
-        lists = all_nn(view, capacity, seeds)
-        store = KnnListStore(
-            view.num_nodes,
-            capacity,
-            lists,
-            buffer,
-            page_size=page_size,
-            order=order,
-        )
-        return cls(store)
+    def check_capacity(self, k: int) -> None:
+        """Refuse a query whose ``k`` exceeds the lists' capacity."""
+        if k > self.capacity:
+            raise QueryError(f"k={k} exceeds the materialized capacity K={self.capacity}")
 
     def get(self, node: int) -> tuple[tuple[int, float], ...]:
         """Materialized list of ``node`` (charged read)."""
@@ -156,10 +158,11 @@ class MaterializedKNN:
         lists of all *affected* nodes; the expansion stops at *border*
         nodes (whose lists do not change).  Step 2 refills the affected
         lists by a constrained expansion seeded with the border nodes'
-        entries and the affected nodes' surviving entries: a border's
-        entries reach an affected node over its out-arc to the border,
-        and refilled entries relay back along in-arcs.  Returns the
-        number of affected nodes.
+        entries, the affected nodes' surviving entries and, on an
+        unrestricted network, the points on their incident edges: a
+        border's entries reach an affected node over its out-arc to the
+        border, and refilled entries relay back along in-arcs.  Returns
+        the number of affected nodes.
         """
         capacity = self.capacity
         # ---- step 1: find affected nodes, drop the deleted point --------
@@ -193,6 +196,11 @@ class MaterializedKNN:
             neighbors = view.neighbors(node)
             view.tracker.edges_expanded += len(neighbors)
             for nbr, weight in neighbors:
+                if not view.restricted and view.has_points_on(node, nbr):
+                    # a point on an incident edge may be in neither
+                    # endpoint's full list, so it seeds the refill too
+                    for other, pos in view.edge_points(node, nbr):
+                        refill.push(pos if node < nbr else weight - pos, (node, other))
                 if nbr in affected:
                     continue
                 for other, dist in self.store.get(nbr):

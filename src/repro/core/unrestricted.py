@@ -17,6 +17,12 @@ be a reverse neighbor (its shortest path to the query leaves through
 query is unprunable under Lemma 1, scanning incident edges of non-pruned
 nodes discovers every result; verification remains exact, so extra
 candidates only cost work, never correctness.
+
+Eager, lazy-EP and bichromatic eager share one query set-up
+(``_QuerySpec``) and one relaxation step (``_relax``), which offers the
+points on a node's incident edges.  Eager-M is eager's loop handed the
+K-NN lists, and lazy-EP's second heap is the one
+:class:`~repro.core.lazy_ep.ParallelExpansion`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from bisect import bisect_left, insort
 from typing import AbstractSet, Callable, Sequence
 
 from repro.core.lazy import _LazyState
+from repro.core.lazy_ep import ParallelExpansion
 from repro.core.materialize import MaterializedKNN
 from repro.core.network import NetworkView
 from repro.core.numeric import inflate_bound, strictly_less, tie_threshold
@@ -95,23 +102,17 @@ def _offset_from(node: int, other: int, weight: float, pos: float) -> float:
 
 def unrestricted_range_nn(
     view: NetworkView,
-    source: int,
+    source: Location,
     k: int,
     radius: float,
     exclude: AbstractSet[int] = _EMPTY,
 ) -> list[tuple[int, float]]:
-    """``range-NN`` from a node over edge points (paper Section 5.2).
-
-    Points on the edges incident to a de-heaped node re-enter the heap
-    as point entries, so points pop in ascending distance order and the
-    same point discovered over two paths is reported once, at its true
-    distance.  Returns up to ``k`` points strictly closer than
-    ``radius``.
-    """
+    """``range-NN`` from a node or edge location over edge points (paper
+    Section 5.2): up to ``k`` points strictly closer than ``radius``."""
     view.tracker.range_nn_calls += 1
     if k <= 0 or radius <= 0:
         return []
-    return _expand_points(view, [(source, 0.0)], [], k, radius, exclude)
+    return _expand_points(view, source, k, radius, exclude)
 
 
 def unrestricted_knn(
@@ -121,28 +122,32 @@ def unrestricted_knn(
     exclude: AbstractSet[int] = _EMPTY,
 ) -> list[tuple[int, float]]:
     """The k nearest edge points of an arbitrary location."""
-    location = normalize_location(location)
-    point_seeds: list[tuple[int, float]] = []
-    if not isinstance(location, int):
-        u, v, pos = location
-        for pid, ppos in view.edge_points(u, v):
-            if pid not in exclude:
-                point_seeds.append((pid, abs(pos - ppos)))
-    return _expand_points(
-        view, location_seeds(view, location), point_seeds, k, math.inf, exclude
-    )
+    return _expand_points(view, location, k, math.inf, exclude)
 
 
 def _expand_points(
     view: NetworkView,
-    node_seeds: Sequence[tuple[int, float]],
-    point_seeds: Sequence[tuple[int, float]],
+    location: Location,
     k: int,
     radius: float,
     exclude: AbstractSet[int],
 ) -> list[tuple[int, float]]:
+    """Up to ``k`` points strictly closer to ``location`` than ``radius``.
+
+    The heap starts at the location's node seeds and at the points that
+    share its edge (at their direct distance).  Points on the edges
+    incident to a de-heaped node re-enter the heap as point entries, so
+    points pop in ascending distance order and the same point
+    discovered over two paths is reported once, at its true distance.
+    """
+    location = normalize_location(location)
+    point_seeds: list[tuple[int, float]] = []
+    if not isinstance(location, int):
+        u, v, pos = location
+        point_seeds = [(pid, abs(pos - ppos)) for pid, ppos in view.edge_points(u, v)
+                       if pid not in exclude]
     heap = CountingHeap(view.tracker)
-    for node, dist in node_seeds:
+    for node, dist in location_seeds(view, location):
         heap.push(dist, (_NODE, node))
     for pid, dist in point_seeds:
         if dist < radius:
@@ -279,7 +284,7 @@ def unrestricted_verify(
 
 
 # ---------------------------------------------------------------------------
-# query preparation shared by the algorithms
+# query set-up and relaxation shared by the algorithms
 # ---------------------------------------------------------------------------
 
 class _QuerySpec:
@@ -293,30 +298,48 @@ class _QuerySpec:
     ):
         if (query is None) == (route is None):
             raise QueryError("pass exactly one of query location or route")
+        if route is None:
+            query = normalize_location(query)
+            if isinstance(query, int):
+                route = (query,)
+        #: Points on the query's own edge, at their direct distance.
+        self.query_edge_points: list[tuple[int, float]] = []
         if route is not None:
             self.target_nodes: frozenset[int] = frozenset(route)
             self.target_loc: Location | None = None
             self.seeds = [(node, 0.0) for node in self.target_nodes]
-            self.query_edge_points: list[tuple[int, float]] = []
-            return
-        query = normalize_location(query)
-        if isinstance(query, int):
-            self.target_nodes = frozenset((query,))
-            self.target_loc = None
-            self.seeds = [(query, 0.0)]
-            self.query_edge_points = []
         else:
+            u, v, pos = query
             self.target_nodes = frozenset()
             self.target_loc = query
             self.seeds = location_seeds(view, query)
-            u, v, pos = query
             self.query_edge_points = [
                 (pid, abs(pos - ppos)) for pid, ppos in view.edge_points(u, v)
             ]
 
 
+def _relax(
+    view: NetworkView,
+    heap: CountingHeap,
+    visited: AbstractSet[int],
+    node: int,
+    dist: float,
+    offer: Callable[[int, float], None],
+) -> None:
+    """Expand ``node``: offer every point on an incident edge with its
+    distance through ``node``, and push the unvisited neighbors."""
+    neighbors = view.neighbors(node)
+    view.tracker.edges_expanded += len(neighbors)
+    for nbr, weight in neighbors:
+        if view.has_points_on(node, nbr):
+            for pid, pos in view.edge_points(node, nbr):
+                offer(pid, dist + _offset_from(node, nbr, weight, pos))
+        if nbr not in visited:
+            heap.push(dist + weight, nbr)
+
+
 # ---------------------------------------------------------------------------
-# eager
+# eager and eager-M
 # ---------------------------------------------------------------------------
 
 def unrestricted_eager(
@@ -325,8 +348,18 @@ def unrestricted_eager(
     k: int = 1,
     exclude: AbstractSet[int] = _EMPTY,
     route: Sequence[int] | None = None,
+    lists: MaterializedKNN | None = None,
 ) -> list[int]:
-    """Eager RkNN over edge points (single location or route query)."""
+    """Eager RkNN over edge points (single location or route query).
+
+    Given the K-NN ``lists`` it runs eager-M: probes come from the lists
+    and candidate verification is short-circuited through the
+    k-th-neighbor distance computed by merging the lists of the
+    candidate's edge endpoints (paper Section 5.2, last paragraph of
+    4.1).
+    """
+    if lists is not None:
+        lists.check_capacity(k)
     spec = _QuerySpec(view, query, route)
     heap = CountingHeap(view.tracker)
     for node, dist in spec.seeds:
@@ -339,7 +372,9 @@ def unrestricted_eager(
         if pid in exclude or pid in checked:
             return
         checked.add(pid)
-        if unrestricted_verify(
+        if lists is not None and _listed_result(view, lists, pid, k, bound, exclude):
+            result.append(pid)
+        elif unrestricted_verify(
             view, view, view.point_location(pid), pid, k,
             spec.target_nodes, spec.target_loc, bound, exclude,
         ):
@@ -354,108 +389,40 @@ def unrestricted_eager(
             continue
         visited.add(node)
         view.tracker.nodes_visited += 1
-        found = unrestricted_range_nn(view, node, k, dist, exclude)
+        if lists is None:
+            found = unrestricted_range_nn(view, node, k, dist, exclude)
+        else:
+            found = [
+                (pid, pdist) for pid, pdist in lists.get(node)
+                if pid not in exclude and pdist < dist
+            ][:k]
         for pid, pdist in found:
             consider(pid, dist + pdist)
         if len(found) < k:
-            neighbors = view.neighbors(node)
-            view.tracker.edges_expanded += len(neighbors)
-            for nbr, weight in neighbors:
-                if view.has_points_on(node, nbr):
-                    for pid, pos in view.edge_points(node, nbr):
-                        consider(pid, dist + _offset_from(node, nbr, weight, pos))
-                if nbr not in visited:
-                    heap.push(dist + weight, nbr)
+            _relax(view, heap, visited, node, dist, consider)
     return sorted(result)
 
 
-# ---------------------------------------------------------------------------
-# eager-M
-# ---------------------------------------------------------------------------
-
-def unrestricted_eager_m(
+def _listed_result(
     view: NetworkView,
-    materialized: MaterializedKNN,
-    query: Location | None = None,
-    k: int = 1,
-    exclude: AbstractSet[int] = _EMPTY,
-    route: Sequence[int] | None = None,
-) -> list[int]:
-    """Eager-M over edge points: probes come from materialized lists and
-    candidate verification is short-circuited through the k-th-neighbor
-    distance computed by merging the lists of the candidate's edge
-    endpoints (paper Section 5.2, last paragraph of 4.1)."""
-    if k > materialized.capacity:
-        raise QueryError(
-            f"k={k} exceeds the materialized capacity K={materialized.capacity}"
-        )
-    spec = _QuerySpec(view, query, route)
-    heap = CountingHeap(view.tracker)
-    for node, dist in spec.seeds:
-        heap.push(dist, node)
-    visited: set[int] = set()
-    checked: set[int] = set()
-    result: list[int] = []
-
-    def consider(pid: int, bound: float) -> None:
-        if pid in exclude or pid in checked:
-            return
-        checked.add(pid)
-        threshold = _kth_other_distance(view, materialized, pid, k, exclude)
-        if threshold is not None and bound <= threshold:
-            result.append(pid)
-            return
-        if unrestricted_verify(
-            view, view, view.point_location(pid), pid, k,
-            spec.target_nodes, spec.target_loc, bound, exclude,
-        ):
-            result.append(pid)
-
-    for pid, bound in spec.query_edge_points:
-        consider(pid, bound)
-
-    while heap:
-        dist, node = heap.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        view.tracker.nodes_visited += 1
-        entries = [
-            (pid, pdist)
-            for pid, pdist in materialized.get(node)
-            if pid not in exclude
-        ]
-        candidates = [(pid, pdist) for pid, pdist in entries if pdist < dist][:k]
-        for pid, pdist in candidates:
-            consider(pid, dist + pdist)
-        if len(candidates) < k:
-            neighbors = view.neighbors(node)
-            view.tracker.edges_expanded += len(neighbors)
-            for nbr, weight in neighbors:
-                if view.has_points_on(node, nbr):
-                    for pid, pos in view.edge_points(node, nbr):
-                        consider(pid, dist + _offset_from(node, nbr, weight, pos))
-                if nbr not in visited:
-                    heap.push(dist + weight, nbr)
-    return sorted(result)
-
-
-def _kth_other_distance(
-    view: NetworkView,
-    materialized: MaterializedKNN,
+    lists: MaterializedKNN,
     pid: int,
     k: int,
+    bound: float,
     exclude: AbstractSet[int],
-) -> float | None:
-    """Exact distance from point ``pid`` to its k-th *other* neighbor,
+) -> bool:
+    """Whether ``bound`` (an upper bound of ``d(p, q)``) is within the
+    exact distance from point ``pid`` to its k-th *other* neighbor,
     derived from the materialized lists of its edge's endpoints plus the
-    points sharing its edge.  Returns ``None`` when the truncated lists
+    points sharing its edge.  ``False`` also when the truncated lists
     cannot answer exactly (the caller then runs a verify query).
 
-    Merging is exact: if a point's true shortest path to ``pid`` leaves
-    through endpoint ``a`` but the point is absent from ``a``'s list,
-    the K stored points of ``a`` are all at least as close to ``pid``,
-    so the k-th merged distance (k <= K) is unaffected.
+    A point absent from the full list of endpoint ``a`` is at least
+    ``offset(a) + last(a)`` from ``pid`` through ``a``, where ``last(a)``
+    is the list's largest distance.  So the k-th merged distance is
+    exact when it reaches no farther than that for every full list.
+    Counting the K stored points is not enough: ``pid`` itself and
+    excluded points may take some of the K slots.
     """
     u, v, pos = view.point_location(pid)
     weight = view.edge_weight(u, v)
@@ -467,8 +434,8 @@ def _kth_other_distance(
             if current is None or dist < current:
                 merged[other] = dist
 
-    list_u = materialized.get(u)
-    list_v = materialized.get(v)
+    list_u = lists.get(u)
+    list_v = lists.get(v)
     for other, dist in list_u:
         offer(other, pos + dist)
     for other, dist in list_v:
@@ -476,14 +443,16 @@ def _kth_other_distance(
     for other, opos in view.edge_points(u, v):
         offer(other, abs(pos - opos))
     distances = sorted(merged.values())
+    capacity = lists.capacity
     if len(distances) >= k:
-        return distances[k - 1]
-    capacity = materialized.capacity
-    if len(list_u) < capacity and len(list_v) < capacity:
-        # Both lists are complete, so every reachable point was merged:
-        # fewer than k others exist and the point always qualifies.
-        return math.inf
-    return None
+        kth = distances[k - 1]
+        return bound <= kth and all(
+            len(entries) < capacity or kth <= offset + entries[-1][1]
+            for offset, entries in ((pos, list_u), (weight - pos, list_v))
+        )
+    # Both lists complete: every reachable point was merged, so fewer
+    # than k others exist and the point always qualifies.
+    return len(list_u) < capacity and len(list_v) < capacity
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +496,7 @@ def unrestricted_lazy(
 
         if unrestricted_verify(
             view, view, view.point_location(pid), pid, k,
-            spec.target_nodes, spec.target_loc, bound, exclude,
-            on_visit=on_visit,
+            spec.target_nodes, spec.target_loc, bound, exclude, on_visit,
         ):
             result.append(pid)
 
@@ -583,12 +551,16 @@ def unrestricted_lazy_ep(
     heap = CountingHeap(view.tracker)
     for node, dist in spec.seeds:
         heap.push(dist, node)
-    parallel = _EdgeParallelExpansion(view, k, exclude)
+    parallel = ParallelExpansion(
+        view, k, lambda pid: location_seeds(view, view.point_location(pid))
+    )
     visited: set[int] = set()
     checked: set[int] = set()
     result: list[int] = []
 
     def consider(pid: int, bound: float) -> None:
+        if pid in exclude:
+            return
         parallel.add_point(pid)
         if pid in checked:
             return
@@ -600,8 +572,7 @@ def unrestricted_lazy_ep(
             result.append(pid)
 
     for pid, bound in spec.query_edge_points:
-        if pid not in exclude:
-            consider(pid, bound)
+        consider(pid, bound)
 
     while heap:
         dist, node = heap.pop()
@@ -612,75 +583,8 @@ def unrestricted_lazy_ep(
         parallel.advance(dist)
         if strictly_less(parallel.kth_dist(node), dist):
             continue  # Lemma 1 via discovered points
-        neighbors = view.neighbors(node)
-        view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if view.has_points_on(node, nbr):
-                for pid, pos in view.edge_points(node, nbr):
-                    if pid not in exclude:
-                        consider(pid, dist + _offset_from(node, nbr, weight, pos))
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
+        _relax(view, heap, visited, node, dist, consider)
     return sorted(result)
-
-
-class _EdgeParallelExpansion:
-    """Second heap of lazy-EP for edge-point networks."""
-
-    def __init__(self, view: NetworkView, k: int, exclude: AbstractSet[int]):
-        self.view = view
-        self.k = k
-        self.exclude = exclude
-        self.heap = CountingHeap(view.tracker)
-        self.closed: set[tuple[int, int]] = set()
-        self.knn_dists: dict[int, list[float]] = {}
-        self.discovered: set[int] = set()
-
-    def add_point(self, pid: int) -> None:
-        """Seed ``H'`` with a point the main expansion discovered.
-
-        ``H'`` never scans for points itself: expanding only
-        main-discovered (hence already-verified) points keeps Lemma 1
-        pruning sound and prevents a discovery cascade through the
-        network.
-        """
-        if pid in self.discovered or pid in self.exclude:
-            return
-        self.discovered.add(pid)
-        for node, offset in location_seeds(self.view, self.view.point_location(pid)):
-            self.heap.push(offset, (node, pid))
-
-    def advance(self, limit: float) -> None:
-        # Entries are not globally ascending over time (late-discovered
-        # points re-seed H' at small distances), so the per-node lists
-        # use sorted insertion with eviction of the largest entry.
-        heap = self.heap
-        while heap and heap.peek_distance() < limit:
-            dist, (node, pid) = heap.pop()
-            if (node, pid) in self.closed:
-                continue
-            self.closed.add((node, pid))
-            dists = self.knn_dists.setdefault(node, [])
-            if len(dists) >= self.k and dist >= dists[-1]:
-                continue  # k discovered points at least as close: dominated
-            insort(dists, dist)
-            del dists[self.k:]
-            neighbors = self.view.neighbors(node)
-            self.view.tracker.edges_expanded += len(neighbors)
-            for nbr, weight in neighbors:
-                if (nbr, pid) in self.closed:
-                    continue
-                nbr_dists = self.knn_dists.get(nbr)
-                reach = dist + weight
-                if nbr_dists and len(nbr_dists) >= self.k and reach >= nbr_dists[-1]:
-                    continue
-                heap.push(reach, (nbr, pid))
-
-    def kth_dist(self, node: int) -> float:
-        dists = self.knn_dists.get(node)
-        if dists is None or len(dists) < self.k:
-            return math.inf
-        return dists[self.k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +604,9 @@ def unrestricted_bichromatic_eager(
     points are collected from the incident edges of non-pruned nodes
     (plus the query's own edge) and verified exactly against Q.
     """
-    query = normalize_location(query)
-    if isinstance(query, int):
-        target_nodes: frozenset[int] = frozenset((query,))
-        target_loc: Location | None = None
-        seeds = [(query, 0.0)]
-    else:
-        target_nodes = frozenset()
-        target_loc = query
-        seeds = location_seeds(ref_view, query)
+    spec = _QuerySpec(data_view, query, None)
     heap = CountingHeap(ref_view.tracker)
-    for node, dist in seeds:
+    for node, dist in spec.seeds:
         heap.push(dist, node)
     visited: set[int] = set()
     checked: set[int] = set()
@@ -722,14 +618,12 @@ def unrestricted_bichromatic_eager(
         checked.add(pid)
         if unrestricted_verify(
             ref_view, ref_view, data_view.point_location(pid), None, k,
-            target_nodes, target_loc, bound, exclude,
+            spec.target_nodes, spec.target_loc, bound, exclude,
         ):
             result.append(pid)
 
-    if target_loc is not None:
-        u, v, pos = target_loc
-        for pid, ppos in data_view.edge_points(u, v):
-            consider(pid, abs(pos - ppos))
+    for pid, bound in spec.query_edge_points:
+        consider(pid, bound)
 
     while heap:
         dist, node = heap.pop()
@@ -737,15 +631,6 @@ def unrestricted_bichromatic_eager(
             continue
         visited.add(node)
         ref_view.tracker.nodes_visited += 1
-        closer = unrestricted_range_nn(ref_view, node, k, dist, exclude)
-        if len(closer) >= k:
-            continue
-        neighbors = data_view.neighbors(node)
-        data_view.tracker.edges_expanded += len(neighbors)
-        for nbr, weight in neighbors:
-            if data_view.has_points_on(node, nbr):
-                for pid, pos in data_view.edge_points(node, nbr):
-                    consider(pid, dist + _offset_from(node, nbr, weight, pos))
-            if nbr not in visited:
-                heap.push(dist + weight, nbr)
+        if len(unrestricted_range_nn(ref_view, node, k, dist, exclude)) < k:
+            _relax(data_view, heap, visited, node, dist, consider)
     return sorted(result)

@@ -12,10 +12,10 @@ directions, so one set of probes and list routines serves a
 :class:`~repro.core.network.NetworkView` and a
 :class:`~repro.core.directed.DirectedView` alike.
 
-:class:`UndirectedFacade` adds what only undirected networks offer:
-the eager / lazy / eager-M / lazy-EP dispatch over restricted and
-unrestricted views, continuous and bichromatic RkNN, the reference set
-and the landmark oracle.  :class:`DirectedFacade` keeps only its
+:class:`UndirectedFacade` adds what only undirected networks offer: the
+four methods over restricted and unrestricted views (through
+:func:`repro.core.continuous.run_rknn`), continuous and bichromatic
+RkNN, the reference set and the landmark oracle.  :class:`DirectedFacade` keeps only its
 method tuple, its view (``_view``), its RkNN dispatch (``_run_rknn``,
 the directed eager / eager-M / naive traversals) and a node-id
 ``_check_location``.
@@ -60,18 +60,10 @@ import math
 from typing import AbstractSet, Iterable, Sequence
 
 from repro.core import unrestricted
-from repro.core.bichromatic import (
-    bichromatic_eager,
-    bichromatic_eager_m,
-    bichromatic_lazy,
-)
-from repro.core.continuous import validate_route
+from repro.core.bichromatic import bichromatic_eager, bichromatic_lazy
+from repro.core.continuous import METHODS, run_rknn, validate_route
 from repro.core.directed import METHODS as DIRECTED_METHODS
 from repro.core.directed import DirectedView, directed_rknn
-from repro.core.eager import eager_rknn, eager_rknn_route
-from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
-from repro.core.lazy import lazy_rknn, lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
 from repro.core.materialize import MaterializedKNN, Seed, all_nn
 from repro.core.network import NetworkView
 from repro.core.nn import knn as restricted_knn
@@ -97,26 +89,7 @@ from repro.storage.stats import CostTracker
 
 _EMPTY: frozenset[int] = frozenset()
 
-#: Query-processing methods of the undirected facades.
-METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
-
 Location = unrestricted.Location
-
-#: Restricted-network RkNN algorithms: (single query, route query).
-_RESTRICTED_RKNN = {
-    "eager": (eager_rknn, eager_rknn_route),
-    "lazy": (lazy_rknn, lazy_rknn_route),
-    "lazy-ep": (lazy_ep_rknn, lazy_ep_rknn_route),
-    "eager-m": (eager_m_rknn, eager_m_rknn_route),
-}
-
-#: Unrestricted-network RkNN algorithms (each takes ``route=``).
-_UNRESTRICTED_RKNN = {
-    "eager": unrestricted.unrestricted_eager,
-    "lazy": unrestricted.unrestricted_lazy,
-    "lazy-ep": unrestricted.unrestricted_lazy_ep,
-    "eager-m": unrestricted.unrestricted_eager_m,
-}
 
 
 class FacadeBase:
@@ -912,15 +885,8 @@ class UndirectedFacade(FacadeBase):
 
     def _run_rknn(self, query, k, method, exclude, route=None) -> list[int]:
         """Run ``method`` for one query location, or along ``route``."""
-        mat = (self._require_mat(),) if method == "eager-m" else ()
-        if not self.restricted:
-            return _UNRESTRICTED_RKNN[method](
-                self.view, *mat, query, k, exclude, route=route
-            )
-        single, along = _RESTRICTED_RKNN[method]
-        if route is None:
-            return single(self.view, *mat, query, k, exclude)
-        return along(self.view, *mat, route, k, exclude)
+        lists = self._require_mat() if method == "eager-m" else None
+        return run_rknn(self.view, query, route, k, method, lists, exclude)
 
     def bichromatic_rknn(
         self,
@@ -973,9 +939,9 @@ class UndirectedFacade(FacadeBase):
                     raise QueryError(
                         "materialize_reference() before bichromatic eager-m"
                     )
-                return bichromatic_eager_m(
-                    self.view, self._ref_view, self._ref_materialized,
-                    query, k, exclude,
+                return bichromatic_eager(
+                    self.view, self._ref_view, query, k, exclude,
+                    self._ref_materialized,
                 )
             raise QueryError(
                 "bichromatic queries support methods 'eager', 'lazy', 'eager-m'"

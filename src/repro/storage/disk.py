@@ -137,7 +137,8 @@ class EdgePointStore:
 
     Each store instance gets a distinct file tag so several point files
     (e.g. the P and Q sets of a bichromatic query) can share one buffer
-    without their pages aliasing.
+    without their pages aliasing.  ``points`` must already be valid on
+    ``graph``: the facades check a point set before paging it.
     """
 
     _instances = 0
@@ -151,7 +152,6 @@ class EdgePointStore:
         page_size: int = DEFAULT_PAGE_SIZE,
         order: Sequence[int] | None = None,
     ):
-        points.validate(graph)
         EdgePointStore._instances += 1
         self.FILE_TAG = f"ep{EdgePointStore._instances}"
         self.page_size = page_size

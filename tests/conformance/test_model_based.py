@@ -24,9 +24,14 @@ the in-memory graph alone and share no code with the storage stacks:
   (eager, eager-m, naive) and ``aggregate_nn`` over forward distances
   are checked against brute force, ``knn`` and ``range_nn`` must agree
   across the three.
+* :class:`EdgeFacade` drives a disk database whose points lie on edges
+  (an unrestricted network) through edge-point inserts and deletes,
+  ``materialize`` and ``attach_reference``, and checks ``rknn`` under
+  all four methods, ``continuous_rknn``, bichromatic ``eager``, ``knn``
+  and ``range_nn`` against brute force, at nodes and at edge locations.
 
-Weights are integers, so every path sum is exact and distances compare
-with ``==``.
+Weights are integers and edge offsets multiples of 0.5, so every path
+sum is exact and distances compare with ``==``.
 """
 
 from __future__ import annotations
@@ -47,13 +52,19 @@ from repro import (
     CompactDatabase,
     CompactDirectedDatabase,
     DirectedGraphDatabase,
+    EdgePointSet,
     GraphDatabase,
     NodePointSet,
     QuerySpec,
     ShardedDatabase,
     ShardedDirectedDatabase,
 )
-from repro.core.baseline import brute_force_brknn, brute_force_rknn, dijkstra
+from repro.core.baseline import (
+    brute_force_brknn,
+    brute_force_knn,
+    brute_force_rknn,
+    dijkstra,
+)
 from repro.core.directed import brute_force_directed_rknn
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph, edge_key
@@ -489,6 +500,128 @@ class DirectedFacades(RuleBasedStateMachine):
         assert len(set(answers.values())) == 1, (query, k, radius, answers)
 
 
+class EdgeFacade(RuleBasedStateMachine):
+    """A disk database with its points on edges, against brute force."""
+
+    @initialize(seed=SEEDS)
+    def build(self, seed):
+        rng = random.Random(seed)
+        self.num_nodes = rng.randint(8, 16)
+        self.graph = build_random_graph(
+            rng, self.num_nodes, self.num_nodes // 2, int_weights=True
+        )
+        self.edges = sorted(self.graph.edges())
+        self.points = {
+            pid: self._on_edge(rng.randrange(1024), rng.randrange(1024))
+            for pid in range(rng.randint(3, 6))
+        }
+        self.next_pid = 100
+        self.reference = None
+        self.capacity = None
+        self.db = GraphDatabase(self.graph, EdgePointSet(self.points))
+
+    def _on_edge(self, pick, offset):
+        """The ``pick``-th edge, at an offset that is a multiple of 0.5."""
+        u, v, weight = self.edges[pick % len(self.edges)]
+        return (u, v, (offset % (2 * int(weight) + 1)) / 2)
+
+    def _location(self, pick, offset, on_edge):
+        return self._on_edge(pick, offset) if on_edge else pick % self.num_nodes
+
+    # -- mutations ------------------------------------------------------
+
+    @rule(pick=PICKS, offset=PICKS)
+    def insert_point(self, pick, offset):
+        location = self._on_edge(pick, offset)
+        self.db.insert_point(self.next_pid, location)
+        self.points[self.next_pid] = location
+        self.next_pid += 1
+
+    @precondition(lambda self: self.points)
+    @rule(pick=PICKS)
+    def delete_point(self, pick):
+        pid = _pick(self.points, pick)
+        self.db.delete_point(pid)
+        del self.points[pid]
+
+    @rule(capacity=st.integers(min_value=2, max_value=4))
+    def materialize(self, capacity):
+        self.db.materialize(capacity)
+        self.capacity = capacity
+
+    @rule(seed=SEEDS, size=st.integers(min_value=1, max_value=4))
+    def attach_reference(self, seed, size):
+        rng = random.Random(seed)
+        self.reference = {
+            1000 + i: self._on_edge(rng.randrange(1024), rng.randrange(1024))
+            for i in range(size)
+        }
+        self.db.attach_reference(EdgePointSet(self.reference))
+
+    # -- reads ----------------------------------------------------------
+
+    @rule(pick=PICKS, offset=PICKS, on_edge=st.booleans(), k=KS)
+    def rknn(self, pick, offset, on_edge, k):
+        query = self._location(pick, offset, on_edge)
+        expected = brute_force_rknn(
+            self.graph, EdgePointSet(self.points), query, k
+        )
+        for method in _with_eager_m(k, self.capacity,
+                                    ("eager", "lazy", "lazy-ep")):
+            got = list(self.db.rknn(query, k, method=method).points)
+            assert got == expected, (method, query, k)
+
+    @rule(seed=SEEDS, hops=st.integers(min_value=0, max_value=3), k=KS)
+    def continuous_rknn(self, seed, hops, k):
+        rng = random.Random(seed)
+        route = [rng.randrange(self.num_nodes)]
+        for _ in range(hops):
+            route.append(rng.choice(
+                [nbr for nbr, _ in self.graph.neighbors(route[-1])]
+            ))
+        expected = brute_force_rknn(
+            self.graph, EdgePointSet(self.points), list(route), k
+        )
+        for method in _with_eager_m(k, self.capacity,
+                                    ("eager", "lazy", "lazy-ep")):
+            got = list(self.db.continuous_rknn(route, k, method=method).points)
+            assert got == expected, (method, route, k)
+
+    @precondition(lambda self: self.reference is not None)
+    @rule(pick=PICKS, offset=PICKS, on_edge=st.booleans(), k=KS)
+    def bichromatic_rknn(self, pick, offset, on_edge, k):
+        query = self._location(pick, offset, on_edge)
+        expected = brute_force_brknn(
+            self.graph, EdgePointSet(self.points),
+            EdgePointSet(self.reference), query, k,
+        )
+        got = list(self.db.bichromatic_rknn(query, k, method="eager").points)
+        assert got == expected, (query, k)
+
+    def _true_distances(self, query):
+        ranked = brute_force_knn(
+            self.graph, EdgePointSet(self.points), query, len(self.points)
+        )
+        return dict(ranked)
+
+    @rule(pick=PICKS, offset=PICKS, on_edge=st.booleans(), k=KS)
+    def knn(self, pick, offset, on_edge, k):
+        query = self._location(pick, offset, on_edge)
+        true_dist = self._true_distances(query)
+        expected = sorted(true_dist.values())[:k]
+        _check_ranked(self.db.knn(query, k).neighbors, expected, true_dist,
+                      (query, k))
+
+    @rule(pick=PICKS, offset=PICKS, on_edge=st.booleans(), k=KS,
+          radius=st.integers(min_value=1, max_value=20))
+    def range_nn(self, pick, offset, on_edge, k, radius):
+        query = self._location(pick, offset, on_edge)
+        true_dist = self._true_distances(query)
+        expected = sorted(d for d in true_dist.values() if d < radius)[:k]
+        _check_ranked(self.db.range_nn(query, k, float(radius)).neighbors,
+                      expected, true_dist, (query, k, radius))
+
+
 def test_undirected_facades_match_brute_force():
     run_state_machine_as_test(UndirectedFacades, settings=settings(**SETTINGS))
 
@@ -499,3 +632,7 @@ def test_compact_overlay_time_travel_matches_brute_force():
 
 def test_directed_facades_match_brute_force():
     run_state_machine_as_test(DirectedFacades, settings=settings(**SETTINGS))
+
+
+def test_edge_facade_matches_brute_force():
+    run_state_machine_as_test(EdgeFacade, settings=settings(**SETTINGS))

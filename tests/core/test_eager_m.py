@@ -7,7 +7,7 @@ import pytest
 from repro import GraphDatabase, NodePointSet, QueryError
 from repro.core.baseline import brute_force_rknn
 from repro.core.eager import eager_rknn
-from repro.core.eager_m import eager_m_rknn
+from repro.core.eager import eager_m_rknn
 from tests.conftest import build_random_graph
 
 
