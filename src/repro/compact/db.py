@@ -163,12 +163,7 @@ class _CompactStorage:
                 self._check_query(spec.query, spec.k, spec.method)
                 sources = (spec.query,)
             if spec.method == "eager-m":
-                mat = self._require_mat()
-                if spec.k > mat.capacity:
-                    raise QueryError(
-                        f"k={spec.k} exceeds the materialized capacity "
-                        f"K={mat.capacity}"
-                    )
+                self._require_mat().check_capacity(spec.k)
             requests.append(
                 BatchRequest(sources, spec.k, frozenset(spec.exclude))
             )

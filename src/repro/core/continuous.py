@@ -26,13 +26,13 @@ from repro.errors import QueryError
 
 _EMPTY: frozenset[int] = frozenset()
 
-#: Each method's traversal on restricted and on unrestricted networks;
-#: eager-M is eager's loop handed the K-NN lists.
+#: Each method's traversal on restricted and on unrestricted networks,
+#: and whether it reads the K-NN lists (eager-M is eager's loop handed them).
 TRAVERSALS = {
-    "eager": (eager, unrestricted.unrestricted_eager),
-    "lazy": (lazy, unrestricted.unrestricted_lazy),
-    "eager-m": (eager, unrestricted.unrestricted_eager),
-    "lazy-ep": (lazy_ep, unrestricted.unrestricted_lazy_ep),
+    "eager": (eager, unrestricted.unrestricted_eager, False),
+    "lazy": (lazy, unrestricted.unrestricted_lazy, False),
+    "eager-m": (eager, unrestricted.unrestricted_eager, True),
+    "lazy-ep": (lazy_ep, unrestricted.unrestricted_lazy_ep, False),
 }
 
 #: Methods accepted by :func:`continuous_rknn` and the undirected facades.
@@ -74,10 +74,14 @@ def run_rknn(
     (with ``query`` ``None``); ``eager-m`` reads the K-NN ``lists``."""
     if method not in TRAVERSALS:
         raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-    on_nodes, on_edges = TRAVERSALS[method]
-    if method == "eager-m" and lists is None:
-        raise QueryError("method 'eager-m' needs materialized K-NN lists")
-    extra = (lists,) if method == "eager-m" else ()
+    on_nodes, on_edges, reads_lists = TRAVERSALS[method]
+    extra = ()
+    if reads_lists:
+        if lists is None:
+            raise QueryError(
+                f"method {method!r} needs materialized K-NN lists; call materialize() first"
+            )
+        extra = (lists,)
     if view.restricted:
         return on_nodes(view, [query] if route is None else route, k, exclude, *extra)
     return on_edges(view, query, k, exclude, route, *extra)

@@ -97,7 +97,9 @@ def directed_rknn(
         return _directed_eager(view, query_node, k, exclude)
     if method == "eager-m":
         if materialized is None:
-            raise QueryError("method 'eager-m' needs materialized K-NN lists")
+            raise QueryError(
+                "method 'eager-m' needs materialized K-NN lists; call materialize() first"
+            )
         return _directed_eager(view, query_node, k, exclude, materialized)
     if method == "naive":
         return _directed_naive(view, query_node, k, exclude)

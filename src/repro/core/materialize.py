@@ -27,7 +27,7 @@ import math
 from bisect import insort
 from typing import AbstractSet, Iterable, Sequence
 
-from repro.core.network import NetworkView
+from repro.core.network import NetworkView, offset_from
 from repro.core.pq import CountingHeap
 from repro.errors import MaterializationError, QueryError
 from repro.storage.disk import KnnListStore
@@ -200,7 +200,7 @@ class MaterializedKNN:
                     # a point on an incident edge may be in neither
                     # endpoint's full list, so it seeds the refill too
                     for other, pos in view.edge_points(node, nbr):
-                        refill.push(pos if node < nbr else weight - pos, (node, other))
+                        refill.push(offset_from(node, nbr, weight, pos), (node, other))
                 if nbr in affected:
                     continue
                 for other, dist in self.store.get(nbr):

@@ -32,6 +32,12 @@ from repro.storage.disk import DiskGraph, EdgePointStore
 from repro.storage.stats import CostTracker
 
 
+def offset_from(node: int, other: int, weight: float, pos: float) -> float:
+    """Distance along edge ``(node, other)`` from ``node`` to a point at
+    offset ``pos`` (edge offsets are measured from the smaller endpoint)."""
+    return pos if node < other else weight - pos
+
+
 class NetworkView:
     """Uniform access to the network and one data-point set."""
 

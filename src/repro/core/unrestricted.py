@@ -34,7 +34,7 @@ from typing import AbstractSet, Callable, Sequence
 from repro.core.lazy import _LazyState
 from repro.core.lazy_ep import ParallelExpansion
 from repro.core.materialize import MaterializedKNN
-from repro.core.network import NetworkView
+from repro.core.network import NetworkView, offset_from
 from repro.core.numeric import inflate_bound, strictly_less, tie_threshold
 from repro.core.pq import CountingHeap
 from repro.errors import QueryError
@@ -88,12 +88,6 @@ def direct_distance(loc1: Location, loc2: Location) -> float | None:
     if (loc1[0], loc1[1]) != (loc2[0], loc2[1]):
         return None
     return abs(loc1[2] - loc2[2])
-
-
-def _offset_from(node: int, other: int, weight: float, pos: float) -> float:
-    """Distance along the edge from ``node`` to a point at offset ``pos``
-    (``pos`` is measured from the smaller endpoint)."""
-    return pos if node < other else weight - pos
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ def _expand_points(
                 for pid, pos in view.edge_points(obj, nbr):
                     if pid in exclude or pid in seen_points:
                         continue
-                    reach = dist + _offset_from(obj, nbr, weight, pos)
+                    reach = dist + offset_from(obj, nbr, weight, pos)
                     if strictly_less(reach, radius):
                         heap.push(reach, (_POINT, pid))
             if nbr not in seen_nodes:
@@ -271,7 +265,7 @@ def unrestricted_verify(
                 for pid, pos in count_view.edge_points(obj, nbr):
                     if pid == skip_pid or pid in exclude or pid in seen_points:
                         continue
-                    reach = dist + _offset_from(obj, nbr, weight, pos)
+                    reach = dist + offset_from(obj, nbr, weight, pos)
                     if reach < limit:
                         heap.push(reach, (_POINT, pid))
             if nbr not in seen_nodes:
@@ -333,7 +327,7 @@ def _relax(
     for nbr, weight in neighbors:
         if view.has_points_on(node, nbr):
             for pid, pos in view.edge_points(node, nbr):
-                offer(pid, dist + _offset_from(node, nbr, weight, pos))
+                offer(pid, dist + offset_from(node, nbr, weight, pos))
         if nbr not in visited:
             heap.push(dist + weight, nbr)
 
@@ -520,7 +514,7 @@ def unrestricted_lazy(
                 for pid, pos in view.edge_points(node, nbr):
                     if pid in exclude:
                         continue
-                    offset = _offset_from(node, nbr, weight, pos)
+                    offset = offset_from(node, nbr, weight, pos)
                     if strictly_less(weight - offset, dist + weight):
                         # strictly closer to nbr than the query would be
                         # along this relaxation (d(nbr, q) <= dist + weight)

@@ -594,7 +594,9 @@ class FacadeBase:
 
     def _require_mat(self) -> MaterializedKNN:
         if self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
+            raise QueryError(
+                "method 'eager-m' needs materialized K-NN lists; call materialize() first"
+            )
         return self.materialized
 
     def _check_node_point(self, pid: int, node) -> None:
@@ -885,8 +887,7 @@ class UndirectedFacade(FacadeBase):
 
     def _run_rknn(self, query, k, method, exclude, route=None) -> list[int]:
         """Run ``method`` for one query location, or along ``route``."""
-        lists = self._require_mat() if method == "eager-m" else None
-        return run_rknn(self.view, query, route, k, method, lists, exclude)
+        return run_rknn(self.view, query, route, k, method, self.materialized, exclude)
 
     def bichromatic_rknn(
         self,
@@ -983,8 +984,7 @@ class DirectedFacade(FacadeBase):
     def _run_rknn(self, query, k, method, exclude, route=None) -> list[int]:
         """Run ``method`` for one query node (directed networks take
         no routes: ``route`` is always ``None``)."""
-        mat = self._require_mat() if method == "eager-m" else None
-        return directed_rknn(self.view, query, k, method, mat, exclude)
+        return directed_rknn(self.view, query, k, method, self.materialized, exclude)
 
     def _check_location(self, query) -> None:
         """Reject anything but a node id."""

@@ -29,6 +29,8 @@ the in-memory graph alone and share no code with the storage stacks:
   ``materialize`` and ``attach_reference``, and checks ``rknn`` under
   all four methods, ``continuous_rknn``, bichromatic ``eager``, ``knn``
   and ``range_nn`` against brute force, at nodes and at edge locations.
+  Two fixed scripts pin the eager-M defects on edge points it found,
+  which it draws only at far more examples than :data:`SETTINGS` runs.
 
 Weights are integers and edge offsets multiples of 0.5, so every path
 sum is exact and distances compare with ``==``.
@@ -636,3 +638,40 @@ def test_directed_facades_match_brute_force():
 
 def test_edge_facade_matches_brute_force():
     run_state_machine_as_test(EdgeFacade, settings=settings(**SETTINGS))
+
+
+# -- fixed scripts on edge points -------------------------------------------
+
+def _check_edge_eager_m(graph, db, points, capacity):
+    """eager-m at every node and every ``k <= capacity`` is brute force's."""
+    for query in range(graph.num_nodes):
+        for k in range(1, capacity + 1):
+            expected = brute_force_rknn(graph, EdgePointSet(points), query, k)
+            got = list(db.rknn(query, k, method="eager-m").points)
+            assert got == expected, (query, k)
+
+
+def test_edge_eager_m_list_holding_the_candidate_itself():
+    """K = k = 2, and point 0 sits on node 1, whose list holds point 0
+    itself and point 1.  Point 2, one unit from node 1, is in neither
+    endpoint's list, so the second distance merged from them (10.5,
+    through node 2) is not point 0's true one (1.0)."""
+    graph = Graph(5, [(0, 1, 1.0), (1, 2, 10.0), (1, 3, 2.0), (2, 4, 1.0)])
+    points = {0: (1, 2, 0.0), 1: (0, 1, 0.5), 2: (1, 3, 1.0), 3: (2, 4, 0.5)}
+    db = GraphDatabase(graph, EdgePointSet(points))
+    db.materialize(2)
+    _check_edge_eager_m(graph, db, points, 2)
+
+
+def test_edge_eager_m_after_a_delete_refills_from_edge_points():
+    """Deleting point 1 frees a slot in every list.  Point 0 lies on the
+    edge between the affected nodes 1 and 2, outside node 1's list, so
+    the refill must give node 1 its direct offset 4, not 6 through
+    node 2."""
+    graph = Graph(3, [(0, 1, 5.0), (1, 2, 5.0)])
+    points = {0: (1, 2, 4.0), 1: (1, 2, 1.0), 2: (0, 1, 5.0)}
+    db = GraphDatabase(graph, EdgePointSet(points))
+    db.materialize(2)
+    db.delete_point(1)
+    del points[1]
+    _check_edge_eager_m(graph, db, points, 2)

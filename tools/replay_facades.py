@@ -250,10 +250,9 @@ def _facades(seed: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=12, help="number of seeds")
-    parser.add_argument("--first", type=int, default=0, help="first seed")
+    parser.add_argument("--seeds", type=int, default=12, help="replay seeds 0 to SEEDS-1")
     args = parser.parse_args(argv)
-    for seed in range(args.first, args.first + args.seeds):
+    for seed in range(args.seeds):
         for name, db, graph, on_edges in _facades(seed):
             for line in _Script(seed, name, db, graph, on_edges).run():
                 sys.stdout.write(line + "\n")
